@@ -60,6 +60,9 @@ def start_server(store: Path) -> "tuple[subprocess.Popen, ServeClient]":
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        # own process group: the kill takes the forkserver and its pool
+        # workers down with the server instead of orphaning them
+        start_new_session=True,
         env=dict(
             os.environ,
             PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
@@ -68,7 +71,7 @@ def start_server(store: Path) -> "tuple[subprocess.Popen, ServeClient]":
     line = proc.stdout.readline()
     match = re.search(r"http://([\d.]+):(\d+)", line)
     if not match:
-        proc.kill()
+        kill_group(proc)
         raise RuntimeError(f"could not parse server banner: {line!r}")
     client = ServeClient(match.group(1), int(match.group(2)), timeout=60.0)
     deadline = time.monotonic() + 30.0
@@ -78,8 +81,17 @@ def start_server(store: Path) -> "tuple[subprocess.Popen, ServeClient]":
                 return proc, client
         except Exception:
             time.sleep(0.05)
-    proc.kill()
+    kill_group(proc)
     raise RuntimeError("server never became healthy")
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    """``kill -9`` the server's whole process group, then reap it."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
 
 
 def main() -> int:
@@ -136,12 +148,10 @@ def main() -> int:
                 break
             time.sleep(0.05)
         check("slow job reached RUNNING", current["state"] == "RUNNING")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-        print(f"  ... SIGKILLed server pid {proc.pid} mid-job")
+        kill_group(proc)
+        print(f"  ... SIGKILLed server pid {proc.pid} (and its workers) mid-job")
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        kill_group(proc)
 
     # -- restart: recovery must be exact ------------------------------
     proc, client = start_server(store)
@@ -179,7 +189,8 @@ def main() -> int:
             try:
                 proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
-                proc.kill()
+                pass
+        kill_group(proc)  # reap whatever is left in its group
 
     if _failures:
         print(f"serve smoke drill: FAIL ({len(_failures)} violated guarantees)")

@@ -9,13 +9,12 @@ delegates here), and :func:`compare_last` looks up the previous entry
 for the same bench name so a run can report its own regression ratio.
 
 **The exploration bench.**  :func:`run_explore_bench` measures the
-design-space sweep three ways on one workload — the historical
-per-point path, the shared-prefix incremental engine against an empty
-cache (*cold*), and a second engine run against the cache the cold run
-just persisted (*warm*) — asserts all three produce bit-identical
-:class:`~repro.explore.DesignPoint` lists, and reports the wall times
-and speedups.  ``repro bench`` wraps it on the command line and CI runs
-it with ``--check`` so a cold/warm divergence fails the build.
+design-space sweep on one workload twice — against an empty cache
+(*cold*), and against the cache the cold run just persisted (*warm*) —
+asserts both produce bit-identical :class:`~repro.explore.DesignPoint`
+lists, and reports the wall times and the warm speedup.  ``repro
+bench`` wraps it on the command line and CI runs it with ``--check``
+so a cold/warm divergence fails the build.
 """
 
 from __future__ import annotations
@@ -119,16 +118,15 @@ def compare_last(bench: str, wall_time: float, path: Optional[Path] = None) -> O
 def run_explore_bench(
     workload: str = "diffeq",
     workers: Optional[int] = None,
-    per_point: bool = True,
     cache_dir: Optional[str] = None,
 ) -> Dict:
-    """Measure ``explore_design_space`` per-point vs incremental cold vs warm.
+    """Measure ``explore_design_space`` cold vs warm.
 
     The cold run always starts from an empty cache directory (a
     temporary one unless ``cache_dir`` is given, in which case it is
     wiped first — pass a dedicated path).  The warm run constructs a
     *fresh* :class:`~repro.cache.ArtifactCache` over the persisted file
-    so it measures the real disk round-trip.  All result lists are
+    so it measures the real disk round-trip.  Both result lists are
     checked for bit-identical equality; ``identical`` in the returned
     dict records the verdict (the CLI's ``--check`` turns a ``False``
     into a failing exit code).
@@ -139,13 +137,6 @@ def run_explore_bench(
 
     cdfg = WORKLOADS[workload]()
     out: Dict[str, object] = {"workload": workload}
-
-    baseline = None
-    if per_point:
-        start = time.perf_counter()
-        baseline = explore_design_space(cdfg, workers=workers, incremental=False)
-        out["per_point_cold"] = time.perf_counter() - start
-
     directory = Path(cache_dir) if cache_dir is not None else None
     tmp = None
     if directory is None:
@@ -156,7 +147,7 @@ def run_explore_bench(
     try:
         start = time.perf_counter()
         cold = explore_design_space(cdfg, workers=workers, cache=ArtifactCache(directory))
-        out["incremental_cold"] = time.perf_counter() - start
+        out["cold"] = time.perf_counter() - start
 
         start = time.perf_counter()
         warm = explore_design_space(cdfg, workers=workers, cache=ArtifactCache(directory))
@@ -168,43 +159,42 @@ def run_explore_bench(
     out["points"] = len(cold.points)
     out["evaluations"] = cold.stats.get("evaluations")
     out["edges"] = cold.stats.get("edges")
-    out["identical"] = cold.points == warm.points and (
-        baseline is None or baseline.points == cold.points
-    )
-    if baseline is not None:
-        out["speedup_cold"] = round(out["per_point_cold"] / out["incremental_cold"], 2)
-        out["speedup_warm"] = round(out["per_point_cold"] / out["warm"], 2)
+    out["identical"] = cold.points == warm.points
+    out["speedup_warm"] = round(out["cold"] / out["warm"], 2)
     return out
 
 
 def run_scaling_bench(
     shards: int = 4,
-    workers: int = 4,
     workloads=("diffeq",),
     random_scenarios: int = 3,
     delay_scales=(1.0, 1.25, 1.5, 2.0),
     check_resume: bool = True,
 ) -> Dict:
-    """Measure sharded parameter-space exploration vs the single-pool path.
+    """Measure sharded parameter-space exploration, gain by gain.
 
     The space is :func:`repro.cache.space.bench_space`'s default shape —
     named workloads plus seeded random scenarios, crossed with uniform
     delay scalings and the 64-point GT/LT grid (1024 points at the
-    defaults).  The *single-pool* baseline sweeps it the only way the
-    pre-shard code could: one ``explore_design_space`` process pool per
-    context, contexts strictly in sequence, nothing shared between
-    them.  The sharded run covers the same points with ``shards``
-    work-stealing shards (one worker each, so both sides use comparable
-    process counts) and worker-global content-addressed memos.
+    defaults).  Three sweeps cover it:
 
-    Verdicts: ``identical`` — the sharded points are bit-identical to
-    the baseline's, in canonical order; ``identical_resume`` — a run
-    stopped halfway and resumed from its journal reproduces the
-    uninterrupted report byte-for-byte.  Throughput lands in
-    ``pps_single`` / ``pps_sharded`` (points per second),
-    ``speedup`` (sharded vs single-pool), and ``shard_efficiency``
-    (speedup / ``effective_shards`` — the fleet after clamping to the
-    host's available CPUs; requested ``shards`` is reported alongside).
+    - *single-pool*: one serial ``explore_design_space`` per context,
+      contexts strictly in sequence, nothing shared between them;
+    - *one shard*: the shard runner with one worker process, so the
+      worker-global content-addressed memos are shared across contexts;
+    - *sharded*: ``shards`` work-stealing shards of one worker each.
+
+    ``memo_gain`` (single-pool wall / one-shard wall) is what the memos
+    buy at one process; ``parallel_gain`` (one-shard wall / sharded
+    wall) is what the extra shards buy with the same memos, and
+    ``shard_efficiency`` is ``parallel_gain / effective_shards`` — the
+    fleet after clamping to the host's available CPUs (requested
+    ``shards`` is reported alongside).
+
+    Verdicts: ``identical`` — both shard runs are bit-identical to the
+    single-pool points, in canonical order; ``identical_resume`` — a
+    run stopped halfway and resumed from its journal reproduces the
+    uninterrupted report byte-for-byte.
     """
     import json as _json
 
@@ -221,7 +211,6 @@ def run_scaling_bench(
         "points": len(space),
         "contexts": space.context_count,
         "shards": shards,
-        "workers": workers,
     }
 
     start = time.perf_counter()
@@ -234,27 +223,34 @@ def run_scaling_bench(
             delays=context.delays,
             seed=context.seed,
             verify=space.verify,
-            workers=workers,
-            incremental=True,
         )
         baseline.extend(result.points)
     out["single_pool_wall"] = time.perf_counter() - start
+    expected = [p.to_dict() for p in baseline]
+
+    start = time.perf_counter()
+    one_shard = explore_space(space, shards=1)
+    out["one_shard_wall"] = time.perf_counter() - start
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-space-")
     try:
         start = time.perf_counter()
-        sharded = explore_space(space, shards=shards, workers_per_shard=1, run_dir=tmp)
+        sharded = explore_space(space, shards=shards, run_dir=tmp)
         out["sharded_wall"] = time.perf_counter() - start
 
         out["stolen_units"] = sharded.stats.get("stolen_units")
         out["effective_shards"] = sharded.stats.get("effective_shards", shards)
-        out["identical"] = [p.to_dict() for p in sharded.points] == [
-            p.to_dict() for p in baseline
-        ]
+        out["identical"] = (
+            [p.to_dict() for p in one_shard.points] == expected
+            and [p.to_dict() for p in sharded.points] == expected
+        )
         out["pps_single"] = round(len(space) / out["single_pool_wall"], 2)
         out["pps_sharded"] = round(len(space) / out["sharded_wall"], 2)
-        out["speedup"] = round(out["single_pool_wall"] / out["sharded_wall"], 2)
-        out["shard_efficiency"] = round(out["speedup"] / out["effective_shards"], 3)
+        out["memo_gain"] = round(out["single_pool_wall"] / out["one_shard_wall"], 2)
+        out["parallel_gain"] = round(out["one_shard_wall"] / out["sharded_wall"], 2)
+        out["shard_efficiency"] = round(
+            out["parallel_gain"] / out["effective_shards"], 3
+        )
 
         # warm resume of the completed run: everything served from the
         # compacted mirror, nothing recomputed

@@ -1,7 +1,7 @@
 """Shared-prefix incremental exploration over the GT/LT grid.
 
-The per-point path (:func:`repro.explore.evaluate_point`) re-runs the
-whole synthesize→extract→optimize→simulate pipeline for every grid
+An independent per-point evaluation (the test suite's oracle) re-runs
+the whole synthesize→extract→optimize→simulate pipeline for every grid
 point, so a 64-point sweep applies GT passes 80 times and extracts 64
 designs.  This engine exploits three redundancies instead:
 
@@ -27,11 +27,11 @@ designs.  This engine exploits three redundancies instead:
    tuples, and workers keep their own trie so prefix work is shared
    within each process too.
 
-Bit-identical equivalence with the per-point path is a hard contract
-(tested in ``tests/cache/``): conformance stamps, provenance counts,
-bottleneck labels and makespans all match, whether results were
-computed cold, deduplicated in-process, or served from a warm disk
-cache.
+Bit-identical equivalence with the per-point oracle is a hard contract
+(tested in ``tests/cache/`` and by the golden reports): conformance
+stamps, provenance counts, bottleneck labels and makespans all match,
+whether results were computed cold, deduplicated in-process, or served
+from a warm disk cache.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ class _TrieNode:
 class IncrementalExplorer:
     """Evaluate a transform-subset grid with shared-prefix reuse.
 
-    Mirrors :func:`repro.explore.evaluate_point` exactly (including the
-    oracle-failure re-run semantics and conformance stamping) while
-    sharing every artifact the grid allows.  ``check_edges=False``
+    Mirrors the per-point oracle exactly (including the oracle-failure
+    re-run semantics and conformance stamping) while sharing every
+    artifact the grid allows.  ``check_edges=False``
     skips the per-edge global oracle — used by worker processes, whose
     conformance verdicts are assembled parent-side from the parent's
     edge records.
@@ -168,9 +168,9 @@ class IncrementalExplorer:
             )
             from repro.verify.oracles import make_global_oracle, make_local_oracle
 
-            # same composition order as evaluate_point, so the first
-            # failure message (and thus the conformance/proof stamps)
-            # is bit-identical across both paths
+            # same composition order as the per-point oracle, so the
+            # first failure message (and thus the conformance/proof
+            # stamps) is bit-identical across both paths
             if check_edges:
                 self._oracle = compose_global_oracles(
                     make_global_oracle(delays=delays, deep=False),
@@ -587,7 +587,7 @@ class IncrementalExplorer:
         ``failed`` records (never cached), dead workers are retried and
         degraded to serial, and an interrupt keeps what finished.
         """
-        from repro.resilience.pool import resilient_map, serial_map
+        from repro.resilience.pool import MapDiagnostics, resilient_map
 
         workers = self.workers
         if workers == 0:
@@ -610,10 +610,12 @@ class IncrementalExplorer:
                 retries=self.retries,
             )
         else:
-            records, diagnostics = serial_map(
-                lambda item: self._guarded_eval(item[0], item[1]),
-                [(node, lt) for node, lt, __ in missing],
-            )
+            records, diagnostics = [], MapDiagnostics()
+            try:
+                for node, lt, __ in missing:
+                    records.append(self._guarded_eval(node, lt))
+            except KeyboardInterrupt:
+                diagnostics.interrupted = True
         self.interrupted = self.interrupted or diagnostics.interrupted
         if diagnostics.broken_pools or diagnostics.degraded_serial:
             self.pool_diagnostics = diagnostics.to_dict()

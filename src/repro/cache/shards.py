@@ -13,10 +13,9 @@ serializes behind its slowest point.  The shard runner fixes both:
   canonical order, and the trie inside each worker still shares prefix
   work across the unit exactly like the single-pool engine;
 - **shards** — ``--shards N`` independent schedulers, each owning its
-  own process pool (:class:`concurrent.futures.ProcessPoolExecutor`
-  with the crash-recovery semantics of
-  :mod:`repro.resilience.pool`: broken pools are rebuilt with backoff,
-  then degraded to in-thread evaluation).  Units are dealt to shards by
+  own :class:`~repro.resilience.pool.WorkerPool` (broken pools are
+  rebuilt under a :class:`~repro.resilience.pool.RetryPolicy`, then
+  degraded to in-thread evaluation).  Units are dealt to shards by
   *scenario* affinity, so every context sharing a CDFG (the delay
   variants and seeds of one scenario) keeps hitting one shard's memos.
   The effective fleet is clamped to the host's available CPUs: shards
@@ -62,7 +61,7 @@ import os
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +73,7 @@ from repro.cache.journal import ResultJournal
 from repro.cache.space import ParameterSpace, SpaceContext
 from repro.explore import DesignPoint, ExplorationResult
 from repro.obs.spans import span
+from repro.resilience.pool import RetryPolicy, WorkerPool
 
 #: grid points per work unit (GT subsets × LT subsets); units are the
 #: stealing granularity — small enough to balance, large enough that
@@ -127,7 +127,7 @@ class SpaceResult:
 # memos shared across every context the process ever sees.  The memos
 # out-live explorer eviction on purpose: two contexts with disjoint
 # lifetimes still share their synthesis work.
-_CTX_EXPLORERS: "OrderedDict[str, IncrementalExplorer]" = OrderedDict()
+_CTX_EXPLORERS: "OrderedDict[tuple, IncrementalExplorer]" = OrderedDict()
 _DESIGN_MEMO: Dict[str, object] = {}
 _MACHINE_MEMO: Dict[str, tuple] = {}
 _EDGE_MEMO: Dict[str, dict] = {}
@@ -137,6 +137,9 @@ def _context_explorer(payload) -> IncrementalExplorer:
     from repro.sim.seeding import NOMINAL
 
     ctx_key, cdfg, delays, seed_spec, golden, injector, timeout, edge_scope = payload
+    # the fault hooks are part of the key: a degraded unit runs here in
+    # the parent, and later runs' forked workers inherit this cache
+    ctx_key = (ctx_key, injector, timeout)
     explorer = _CTX_EXPLORERS.get(ctx_key)
     if explorer is None:
         explorer = IncrementalExplorer(
@@ -221,7 +224,7 @@ class ShardRunner:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.live = live
         self.stop_after = stop_after
-        self.retries = retries
+        self.policy = RetryPolicy(max_retries=retries)
         self.fault_injector = fault_injector
         self.point_timeout = point_timeout
 
@@ -352,59 +355,58 @@ class ShardRunner:
         )
 
     def _run_shard(self, shard: int, queues: List[deque], journal: ResultJournal) -> None:
-        pool: Optional[ProcessPoolExecutor] = None
+        pool: Optional[WorkerPool] = None
+        finished = False
         try:
-            pool = ProcessPoolExecutor(max_workers=self.workers_per_shard)
+            pool = WorkerPool(self.workers_per_shard, policy=self.policy)
             while not self._stop.is_set():
                 unit = self._next_unit(shard, queues)
                 if unit is None:
                     break
-                records, pool = self._dispatch(unit, pool)
+                records = self._dispatch(unit, pool)
                 if records is None:
                     break  # stopped mid-unit
                 self._stream(shard, unit, records, journal)
+            finished = not self._stop.is_set()
         except Exception as exc:  # a dead shard must not fail silently
             with self._lock:
                 self._shard_errors.append(f"shard {shard}: {type(exc).__name__}: {exc}")
         finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # join the workers on a normal finish; an interrupt or
+                # --stop-after cancels queued work and returns at once
+                pool.shutdown(wait=finished)
+                with self._lock:
+                    self._broken_pools += pool.broken
 
-    def _dispatch(self, unit: WorkUnit, pool) -> Tuple[Optional[List[dict]], object]:
+    def _dispatch(self, unit: WorkUnit, pool: WorkerPool) -> Optional[List[dict]]:
         """Run one unit on the shard's pool, with crash recovery.
 
-        Mirrors :func:`repro.resilience.pool.resilient_map`: a broken
-        pool is rebuilt and the unit retried with backoff up to
-        ``retries`` times, then the unit degrades to in-thread
-        evaluation (which cannot lose a worker).  Returns
-        ``(records | None-if-stopped, live pool)``.
+        A broken pool is rebuilt under the runner's
+        :class:`~repro.resilience.pool.RetryPolicy` and the unit
+        retried; once the pool's rebuild budget is spent, units run
+        in-thread (which cannot lose a worker).  Returns the unit's
+        records, or ``None`` if the run was stopped meanwhile.
         """
         payload = (
             self._context_payload(unit.context, self.fault_injector, self.point_timeout),
             unit.items,
         )
-        for attempt in range(self.retries + 1):
+        while not pool.degraded:
             try:
                 future = pool.submit(_evaluate_unit, payload)
                 while True:
                     try:
-                        return future.result(timeout=0.2), pool
+                        return future.result(timeout=0.2)
                     except FutureTimeout:
                         if self._stop.is_set():
                             future.cancel()
-                            return None, pool
+                            return None
             except BrokenProcessPool:
-                with self._lock:
-                    self._broken_pools += 1
-                pool.shutdown(wait=False, cancel_futures=True)
-                if attempt < self.retries:
-                    time.sleep(0.05 * (2**attempt))
-                pool = ProcessPoolExecutor(max_workers=self.workers_per_shard)
-        # degraded: evaluate in-thread (single-threaded per runner lock —
-        # correctness over speed once the pool has died repeatedly)
+                pool.recover()
         with self._lock:
             self._degraded += 1
-        return _evaluate_unit(payload), pool
+        return pool.run_local(_evaluate_unit, payload)
 
     def _stream(
         self, shard: int, unit: WorkUnit, records: List[dict], journal: ResultJournal
@@ -550,30 +552,6 @@ def _assemble_record(gt, lt, record: dict, *, golden_checked: bool) -> DesignPoi
     )
 
 
-def explore_space(
-    space: ParameterSpace,
-    shards: int = 2,
-    workers_per_shard: int = 1,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    live: Optional[Callable] = None,
-    stop_after: Optional[int] = None,
-    retries: int = 2,
-    fault_injector=None,
-    point_timeout: Optional[float] = None,
-    parallelism: Optional[int] = None,
-) -> SpaceResult:
-    """One-call front door: build a :class:`ShardRunner` and run it."""
-    return ShardRunner(
-        space,
-        shards=shards,
-        workers_per_shard=workers_per_shard,
-        run_dir=run_dir,
-        resume=resume,
-        live=live,
-        stop_after=stop_after,
-        retries=retries,
-        fault_injector=fault_injector,
-        point_timeout=point_timeout,
-        parallelism=parallelism,
-    ).run()
+def explore_space(space: ParameterSpace, **options) -> SpaceResult:
+    """One-call front door: ``ShardRunner(space, **options).run()``."""
+    return ShardRunner(space, **options).run()

@@ -486,7 +486,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     args.workload = _resolve_workload(args)
     cdfg = WORKLOADS[args.workload]()
     cache = None
-    if args.cache and not args.per_point:
+    if args.cache:
         cache = ArtifactCache(args.cache_dir or DEFAULT_CACHE_DIR)
     injector = None
     if args.inject_fail is not None:
@@ -497,7 +497,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         result = explore_design_space(
             cdfg,
             workers=args.workers,
-            incremental=not args.per_point,
             cache=cache,
             fault_injector=injector,
             point_timeout=args.timeout,
@@ -597,8 +596,33 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
 
 
+def _compare_and_record(
+    args: argparse.Namespace, bench_name: str, wall: float, result: Dict, keys
+) -> None:
+    """``--compare`` against the last recorded run of ``bench_name``,
+    then (unless ``--no-record``) append this run with ``keys`` of
+    ``result`` as its metrics."""
+    from repro.bench import compare_last, record
+
+    comparison = compare_last(bench_name, wall, path=args.output)
+    if args.compare:
+        if comparison is None:
+            print("no prior run to compare against")
+        else:
+            direction = "slower" if comparison["ratio"] > 1 else "faster"
+            print(
+                f"vs last run ({comparison['previous_timestamp']}): "
+                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
+                f"({comparison['ratio']:.2f}x, {direction})"
+            )
+    if not args.no_record:
+        metrics = {key: result[key] for key in keys if key in result}
+        entry = record(bench_name, wall, path=args.output, **metrics)
+        print(f"recorded {entry['bench']} ({entry['timestamp']})")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import compare_last, record, run_explore_bench
+    from repro.bench import run_explore_bench
 
     if args.sim:
         return _cmd_bench_sim(args)
@@ -608,52 +632,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _cmd_bench_serve(args)
     bench_name = f"explore_incremental/{args.workload}"
     result = run_explore_bench(
-        args.workload,
-        workers=args.workers,
-        per_point=not args.no_baseline,
-        cache_dir=args.cache_dir,
+        args.workload, workers=args.workers, cache_dir=args.cache_dir
     )
-    for key in ("per_point_cold", "incremental_cold", "warm"):
-        if key in result:
-            print(f"{key:>18}: {result[key]:.3f}s")
-    if "speedup_cold" in result:
-        print(f"{'speedup':>18}: {result['speedup_cold']}x cold, {result['speedup_warm']}x warm")
+    for key in ("cold", "warm"):
+        print(f"{key:>18}: {result[key]:.3f}s")
+    print(f"{'speedup_warm':>18}: {result['speedup_warm']}x (cold / warm)")
     print(
         f"{'grid':>18}: {result['points']} points -> {result['evaluations']} "
         f"evaluations over {result['edges']} trie edges"
     )
     print(f"{'identical':>18}: {result['identical']}")
 
-    comparison = compare_last(bench_name, result["incremental_cold"], path=args.output)
-    if args.compare:
-        if comparison is None:
-            print("no prior run to compare against")
-        else:
-            direction = "slower" if comparison["ratio"] > 1 else "faster"
-            print(
-                f"vs last run ({comparison['previous_timestamp']}): "
-                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
-                f"({comparison['ratio']:.2f}x, {direction})"
-            )
-    if not args.no_record:
-        metrics = {
-            key: result[key]
-            for key in (
-                "points",
-                "evaluations",
-                "edges",
-                "per_point_cold",
-                "warm",
-                "speedup_cold",
-                "speedup_warm",
-                "identical",
-            )
-            if key in result
-        }
-        entry = record(
-            bench_name, result["incremental_cold"], path=args.output, **metrics
-        )
-        print(f"recorded {entry['bench']} ({entry['timestamp']})")
+    _compare_and_record(
+        args, bench_name, result["cold"], result,
+        ("points", "evaluations", "edges", "warm", "speedup_warm", "identical"),
+    )
     if args.check and not result["identical"]:
         print("FAIL: cold and warm exploration results diverge")
         return 1
@@ -662,27 +655,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_bench_scaling(args: argparse.Namespace) -> int:
     """Sharded-exploration scaling benchmark (``bench --explore``)."""
-    from repro.bench import compare_last, record, run_scaling_bench
+    from repro.bench import run_scaling_bench
 
-    workers = args.workers if args.workers else 4
     bench_name = f"explore_sharded/{args.workload}/shards={args.shards}"
     result = run_scaling_bench(
         shards=args.shards,
-        workers=workers,
         workloads=(args.workload,),
         check_resume=not args.no_resume_check,
     )
     print(f"{'space':>18}: {result['points']} points over {result['contexts']} contexts")
     print(f"{'single-pool':>18}: {result['single_pool_wall']:.3f}s "
-          f"({result['pps_single']} points/s, {workers} workers)")
+          f"({result['pps_single']} points/s, serial per context)")
+    print(f"{'one shard':>18}: {result['one_shard_wall']:.3f}s")
     effective = result.get("effective_shards", args.shards)
     shard_label = f"{args.shards} shards"
     if effective != args.shards:  # clamped to the host's available CPUs
         shard_label += f" ({effective} effective)"
     print(f"{'sharded':>18}: {result['sharded_wall']:.3f}s "
           f"({result['pps_sharded']} points/s, {shard_label})")
-    print(f"{'speedup':>18}: {result['speedup']}x "
-          f"(shard efficiency {result['shard_efficiency']})")
+    print(f"{'memo gain':>18}: {result['memo_gain']}x (single-pool / one shard)")
+    print(f"{'parallel gain':>18}: {result['parallel_gain']}x "
+          f"(one shard / sharded; shard efficiency {result['shard_efficiency']})")
     print(f"{'resume':>18}: {result['resume_wall']:.3f}s "
           f"({result['resume_speedup']}x vs cold)")
     if "identical_resume" in result:
@@ -690,31 +683,15 @@ def _cmd_bench_scaling(args: argparse.Namespace) -> int:
               f"{'byte-identical' if result['identical_resume'] else 'DIVERGED'}")
     print(f"{'identical':>18}: {result['identical']}")
 
-    comparison = compare_last(bench_name, result["sharded_wall"], path=args.output)
-    if args.compare:
-        if comparison is None:
-            print("no prior run to compare against")
-        else:
-            direction = "slower" if comparison["ratio"] > 1 else "faster"
-            print(
-                f"vs last run ({comparison['previous_timestamp']}): "
-                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
-                f"({comparison['ratio']:.2f}x, {direction})"
-            )
-    if not args.no_record:
-        metrics = {
-            key: result[key]
-            for key in (
-                "points", "contexts", "shards", "effective_shards", "workers",
-                "single_pool_wall", "pps_single", "pps_sharded",
-                "speedup", "shard_efficiency", "stolen_units",
-                "resume_wall", "resume_speedup", "identical",
-                "identical_resume",
-            )
-            if key in result
-        }
-        entry = record(bench_name, result["sharded_wall"], path=args.output, **metrics)
-        print(f"recorded {entry['bench']} ({entry['timestamp']})")
+    _compare_and_record(
+        args, bench_name, result["sharded_wall"], result,
+        (
+            "points", "contexts", "shards", "effective_shards",
+            "single_pool_wall", "one_shard_wall", "pps_single", "pps_sharded",
+            "memo_gain", "parallel_gain", "shard_efficiency", "stolen_units",
+            "resume_wall", "resume_speedup", "identical", "identical_resume",
+        ),
+    )
     if args.check and not result["identical"]:
         print("FAIL: sharded and single-pool exploration results diverge")
         return 1
@@ -723,7 +700,7 @@ def _cmd_bench_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     """Duplicate-load test against a live job server (``bench --serve``)."""
-    from repro.bench import compare_last, record, run_serve_bench
+    from repro.bench import run_serve_bench
 
     clients = args.clients
     bench_name = f"serve_duplicate_load/{args.workload}/clients={clients}"
@@ -741,28 +718,14 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     print(f"{'wall':>18}: {result['wall']:.3f}s until every client had the result")
     print(f"{'identical':>18}: {result['identical']}")
 
-    comparison = compare_last(bench_name, result["wall"], path=args.output)
-    if args.compare:
-        if comparison is None:
-            print("no prior run to compare against")
-        else:
-            direction = "slower" if comparison["ratio"] > 1 else "faster"
-            print(
-                f"vs last run ({comparison['previous_timestamp']}): "
-                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
-                f"({comparison['ratio']:.2f}x, {direction})"
-            )
-    if not args.no_record:
-        metrics = {
-            key: result[key]
-            for key in (
-                "clients", "workers", "executor", "p50_ms", "p99_ms", "max_ms",
-                "dedup_hit_rate", "dedup_hits", "executions", "submissions",
-                "identical",
-            )
-        }
-        entry = record(bench_name, result["wall"], path=args.output, **metrics)
-        print(f"recorded {entry['bench']} ({entry['timestamp']})")
+    _compare_and_record(
+        args, bench_name, result["wall"], result,
+        (
+            "clients", "workers", "executor", "p50_ms", "p99_ms", "max_ms",
+            "dedup_hit_rate", "dedup_hits", "executions", "submissions",
+            "identical",
+        ),
+    )
     if args.check:
         if result["dedup_hit_rate"] < 0.9:
             print(f"FAIL: dedup hit-rate {result['dedup_hit_rate']} below the 0.9 floor")
@@ -774,7 +737,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    from repro.bench import compare_last, record, run_batched_sim_bench
+    from repro.bench import run_batched_sim_bench
 
     bench_name = f"batched_sim/{args.workload}/trials={args.trials}"
     result = run_batched_sim_bench(args.workload, trials=args.trials)
@@ -783,29 +746,10 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
     print(f"{'speedup':>18}: {result['speedup']}x")
     print(f"{'identical':>18}: {result['identical']}")
 
-    comparison = compare_last(bench_name, result["batched_wall"], path=args.output)
-    if args.compare:
-        if comparison is None:
-            print("no prior run to compare against")
-        else:
-            direction = "slower" if comparison["ratio"] > 1 else "faster"
-            print(
-                f"vs last run ({comparison['previous_timestamp']}): "
-                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
-                f"({comparison['ratio']:.2f}x, {direction})"
-            )
-    if not args.no_record:
-        entry = record(
-            bench_name,
-            result["batched_wall"],
-            path=args.output,
-            scalar_wall=result["scalar_wall"],
-            batched_wall=result["batched_wall"],
-            speedup=result["speedup"],
-            identical=result["identical"],
-            trials=result["trials"],
-        )
-        print(f"recorded {entry['bench']} ({entry['timestamp']})")
+    _compare_and_record(
+        args, bench_name, result["batched_wall"], result,
+        ("scalar_wall", "batched_wall", "speedup", "identical", "trials"),
+    )
     if args.check and not result["identical"]:
         print("FAIL: scalar and batched campaign reports diverge")
         return 1
@@ -1116,11 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact cache location (default .repro-cache/)",
     )
     explore.add_argument(
-        "--per-point",
-        action="store_true",
-        help="use the historical fully-independent per-point path",
-    )
-    explore.add_argument(
         "--faults",
         action="store_true",
         help="add a fault-campaign verdict column to the frontier table",
@@ -1205,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool width for every measured sweep (default serial)",
+        help="process-pool width for the cold/warm sweeps (default serial)",
     )
     bench.add_argument(
         "--compare",
@@ -1216,11 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit non-zero if cold and warm results diverge (CI gate)",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the per-point baseline sweep (faster, no speedup numbers)",
     )
     bench.add_argument(
         "--no-record",
@@ -1253,10 +1187,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--explore",
         action="store_true",
-        help="benchmark sharded parameter-space exploration against the "
-        "single-pool path on a 1k-point space (records points/sec, "
-        "shard efficiency, and resume speedups; --check fails on any "
-        "result divergence)",
+        help="benchmark sharded parameter-space exploration on a "
+        "1k-point space: memo gain (single-pool vs one shard), parallel "
+        "gain and shard efficiency (one shard vs N), points/sec and "
+        "resume speedups; --check fails on any result divergence",
     )
     bench.add_argument(
         "--shards",

@@ -13,23 +13,13 @@ resulting design points, and extract the Pareto frontier.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.afsm.extract import extract_controllers
 from repro.cdfg.graph import Cdfg
-from repro.errors import VerificationError
-from repro.local_transforms import optimize_local
-from repro.local_transforms.scripts import STANDARD_LOCAL_SEQUENCE
-from repro.obs.causal import EventTrace, bottleneck_label, critical_path
 from repro.sim.seeding import NOMINAL
-from repro.sim.system import simulate_system
 from repro.sim.token_sim import simulate_tokens
 from repro.timing.delays import DelayModel
-from repro.transforms import optimize_global
-from repro.transforms.scripts import STANDARD_SEQUENCE
 
 
 @dataclass(frozen=True)
@@ -177,112 +167,6 @@ def proof_stamp(conformance: str, certificates: int) -> Tuple[bool, str]:
     return False, f"not proved: {message}"
 
 
-def evaluate_point(
-    cdfg: Cdfg,
-    global_transforms: Sequence[str],
-    local_transforms: Sequence[str],
-    delays: Optional[DelayModel] = None,
-    seed: int = 9,
-    reference: Optional[Dict[str, float]] = None,
-    golden: Optional[Dict[str, float]] = None,
-) -> DesignPoint:
-    """Synthesize and execute one configuration; optionally verify
-    against a golden register file.
-
-    ``reference`` keeps its historical contract (raise on mismatch);
-    ``golden`` instead *stamps* the returned point: the per-pass
-    oracles of :mod:`repro.verify` run inside both scripts and the run
-    must reproduce ``golden`` with zero violations and hazards, or the
-    point comes back ``conformant=False`` with the reason recorded.
-    """
-    conformance = "unchecked"
-    oracle = local_oracle = None
-    flow_proofs: List = []
-    if golden is not None:
-        from repro.verify.flow import (
-            compose_global_oracles,
-            compose_local_oracles,
-            make_flow_global_oracle,
-            make_flow_local_oracle,
-        )
-        from repro.verify.oracles import make_global_oracle, make_local_oracle
-
-        oracle = compose_global_oracles(
-            make_global_oracle(delays=delays, deep=False),
-            make_flow_global_oracle(delays=delays, collect=flow_proofs),
-        )
-        local_oracle = compose_local_oracles(
-            make_local_oracle(), make_flow_local_oracle(collect=flow_proofs)
-        )
-    try:
-        optimized = optimize_global(
-            cdfg, enabled=tuple(global_transforms), delays=delays, oracle=oracle
-        )
-        design = extract_controllers(optimized.cdfg, optimized.plan)
-        provenance_records = len(optimized.provenance)
-        if local_transforms:
-            local = optimize_local(
-                design, enabled=tuple(local_transforms), oracle=local_oracle
-            )
-            design = local.design
-            provenance_records += len(local.provenance)
-    except VerificationError as exc:
-        if golden is None:
-            raise
-        # synthesize again without the failing oracle so the point's
-        # metrics are still reported, stamped non-conformant
-        optimized = optimize_global(cdfg, enabled=tuple(global_transforms), delays=delays)
-        design = extract_controllers(optimized.cdfg, optimized.plan)
-        provenance_records = len(optimized.provenance)
-        if local_transforms:
-            local = optimize_local(design, enabled=tuple(local_transforms))
-            design = local.design
-            provenance_records += len(local.provenance)
-        conformance = f"failed: {exc}"
-    result = simulate_system(
-        design, delays=delays, seed=seed, strict=(golden is None), trace=EventTrace()
-    )
-    segments = critical_path(result.trace)
-    bottleneck = bottleneck_label(segments) if segments else ""
-    if reference is not None:
-        for register, value in reference.items():
-            if result.registers.get(register) != value:
-                raise AssertionError(
-                    f"configuration {global_transforms}/{local_transforms} "
-                    f"computed {register}={result.registers.get(register)!r}, "
-                    f"expected {value!r}"
-                )
-    if golden is not None and conformance == "unchecked":
-        conformance = "conformant"
-        if result.violations:
-            conformance = f"failed: {result.violations[0]}"
-        elif result.hazards:
-            conformance = f"failed: hazard {result.hazards[0]}"
-        else:
-            for register, value in golden.items():
-                got = result.registers.get(register)
-                if got != value:
-                    conformance = (
-                        f"failed: register {register} = {got!r}, golden says {value!r}"
-                    )
-                    break
-    proved, proof = proof_stamp(conformance, len(flow_proofs))
-    return DesignPoint(
-        global_transforms=tuple(global_transforms),
-        local_transforms=tuple(local_transforms),
-        channels=design.plan.count(include_env=False),
-        total_states=sum(c.state_count for c in design.controllers.values()),
-        total_transitions=sum(c.transition_count for c in design.controllers.values()),
-        makespan=result.end_time,
-        conformant=conformance in ("conformant", "unchecked"),
-        conformance=conformance,
-        proved=proved,
-        proof=proof,
-        provenance_records=provenance_records,
-        bottleneck=bottleneck,
-    )
-
-
 def failed_point(
     global_transforms: Sequence[str],
     local_transforms: Sequence[str],
@@ -305,58 +189,6 @@ def failed_point(
     )
 
 
-#: per-point worker context:
-#: (cdfg, delays, seed, reference, golden, injector, timeout).
-#: Shipped once per process via the pool initializer so the payloads
-#: are tiny (gt, lt) tuples instead of 64 pickled copies of the CDFG.
-_POINT_CONTEXT: Optional[Tuple] = None
-
-
-def _init_point_context(
-    cdfg, delays, seed, reference, golden, injector=None, timeout=None
-) -> None:
-    global _POINT_CONTEXT
-    _POINT_CONTEXT = (cdfg, delays, seed, reference, golden, injector, timeout)
-
-
-def _evaluate_config(payload: Tuple[Tuple[str, ...], Tuple[str, ...]]) -> DesignPoint:
-    """Worker-side shim: evaluate one ``(gt, lt)`` configuration.
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it; also used by the serial path so both paths share
-    one code path per point.
-
-    One bad grid point must not kill the sweep: any exception out of
-    the evaluation (a transform bug, a timeout, an injected fault)
-    becomes a ``status="failed"`` design point.  ``reference``
-    mismatches keep their historical raise-on-mismatch contract, and
-    ``KeyboardInterrupt`` always propagates to the resilient map.
-    """
-    from repro.resilience.injection import point_deadline
-
-    global_transforms, local_transforms = payload
-    cdfg, delays, seed, reference, golden, injector, timeout = _POINT_CONTEXT
-    try:
-        if injector is not None:
-            injector(global_transforms, local_transforms)
-        with point_deadline(timeout):
-            return evaluate_point(
-                cdfg,
-                global_transforms,
-                local_transforms,
-                delays=delays,
-                seed=seed,
-                reference=reference,
-                golden=golden,
-            )
-    except (KeyboardInterrupt, AssertionError):
-        raise
-    except Exception as exc:
-        return failed_point(
-            global_transforms, local_transforms, f"{type(exc).__name__}: {exc}"
-        )
-
-
 def explore_design_space(
     cdfg: Cdfg,
     global_subsets: Optional[Sequence[Sequence[str]]] = None,
@@ -366,7 +198,6 @@ def explore_design_space(
     reference: Optional[Dict[str, float]] = None,
     workers: Optional[int] = None,
     verify: bool = True,
-    incremental: bool = True,
     cache: Optional["ArtifactCache"] = None,
     cache_dir: Optional[str] = None,
     fault_injector=None,
@@ -375,26 +206,26 @@ def explore_design_space(
 ) -> ExplorationResult:
     """Evaluate a grid of transform configurations.
 
-    Defaults explore every prefix-closed subset of GT1..GT5 crossed
-    with {no LTs, all LTs} — 64 points is already informative; pass
-    explicit subset lists for a wider or narrower sweep.
+    Defaults explore every subset of GT1..GT5 crossed with {no LTs, all
+    LTs} — 64 points is already informative; pass explicit subset lists
+    for a wider or narrower sweep.
 
-    ``incremental`` (the default) routes the sweep through the
-    shared-prefix engine (:mod:`repro.cache.incremental`): the GT grid
-    is evaluated as a trie so each transform applies once per trie edge,
-    extraction is shared across the ``()``/LT pair of every GT subset,
-    and evaluations are content-addressed.  Pass an
+    The sweep runs on the shared-prefix engine
+    (:mod:`repro.cache.incremental`): the GT grid is evaluated as a
+    trie so each transform applies once per trie edge, extraction is
+    shared across the ``()``/LT pair of every GT subset, and
+    evaluations are content-addressed.  Pass an
     :class:`~repro.cache.ArtifactCache` via ``cache`` (or just a
     ``cache_dir`` path) to persist the memo across runs — warm sweeps
-    are then near-instant and bit-identical to cold ones.
-    ``incremental=False`` keeps the historical fully-independent
-    per-point path (``cache``/``cache_dir`` are ignored there).
+    are then near-instant and bit-identical to cold ones.  Every point
+    is bit-identical to an independent per-point evaluation (the test
+    suite's oracle).
 
-    Every point is independent, so the sweep parallelizes trivially:
-    ``workers`` > 1 fans the grid out over a process pool (``workers=0``
-    means one process per CPU); the CDFG ships once per worker via the
-    pool initializer.  The default (``None`` or 1) evaluates serially;
-    all paths produce identical points in identical order.
+    ``workers`` > 1 fans the missing evaluations out over a process
+    pool (``workers=0`` means one process per CPU); the CDFG ships once
+    per worker via the pool initializer.  The default (``None`` or 1)
+    evaluates serially; both produce identical points in identical
+    order.
 
     With ``verify`` (the default) every point is conformance-stamped:
     a nominal token simulation of the untransformed CDFG supplies the
@@ -406,106 +237,63 @@ def explore_design_space(
     The sweep is fault-tolerant: a grid point whose evaluation raises
     (or exceeds ``point_timeout`` seconds of wall clock) becomes a
     ``status="failed"`` point instead of aborting the sweep; a worker
-    process dying rebuilds the pool and retries the unfinished points
-    up to ``retries`` times with exponential backoff before degrading
-    to serial evaluation; ``KeyboardInterrupt`` returns the completed
-    points with ``stats["interrupted"]`` set.  ``fault_injector`` (see
-    :mod:`repro.resilience.injection`) deterministically fails chosen
-    points — the hook CI uses to prove all of the above.  When
-    ``point_timeout`` is set, ``stats["watchdog_active"]`` records
-    whether the SIGALRM deadline can actually be armed where the points
-    run (it cannot off the main thread or without ``SIGALRM``; the
-    deadline is then skipped with a one-time warning).
+    process dying rebuilds the pool under a
+    :class:`~repro.resilience.pool.RetryPolicy` of ``retries`` rebuilds
+    before degrading to in-process evaluation; ``KeyboardInterrupt``
+    returns the completed points with ``stats["interrupted"]`` set.
+    ``fault_injector`` (see :mod:`repro.resilience.injection`)
+    deterministically fails chosen points — the hook CI uses to prove
+    all of the above.  When ``point_timeout`` is set,
+    ``stats["watchdog_active"]`` records whether the SIGALRM deadline
+    can actually be armed where the points run (it cannot off the main
+    thread or without ``SIGALRM``; the deadline is then skipped with a
+    one-time warning).
     """
+    from repro.cache.incremental import IncrementalExplorer
+    from repro.cache.space import default_gt_grid, default_lt_grid
+    from repro.cache.store import ArtifactCache
+
     watchdog = None
     if point_timeout:
         from repro.resilience.injection import watchdog_active
 
-        pooled = workers is not None and workers != 1
-        watchdog = watchdog_active(pooled=pooled)
+        watchdog = watchdog_active(pooled=workers is not None and workers != 1)
 
-    golden = simulate_tokens(cdfg, seed=NOMINAL).registers if verify else None
-    if global_subsets is None:
-        global_subsets = [
-            subset
-            for size in range(len(STANDARD_SEQUENCE) + 1)
-            for subset in combinations(STANDARD_SEQUENCE, size)
-        ]
-    if local_subsets is None:
-        local_subsets = [(), tuple(STANDARD_LOCAL_SEQUENCE)]
-
-    if incremental:
-        from repro.cache.incremental import IncrementalExplorer
-        from repro.cache.store import ArtifactCache
-
-        store = cache
-        if store is None and cache_dir is not None:
-            store = ArtifactCache(cache_dir)
-        engine = IncrementalExplorer(
-            cdfg,
-            delays=delays,
-            seed=seed,
-            reference=reference,
-            golden=golden,
-            cache=store,
-            workers=workers,
-            fault_injector=fault_injector,
-            point_timeout=point_timeout,
-            retries=retries,
+    store = cache
+    if store is None and cache_dir is not None:
+        store = ArtifactCache(cache_dir)
+    engine = IncrementalExplorer(
+        cdfg,
+        delays=delays,
+        seed=seed,
+        reference=reference,
+        golden=simulate_tokens(cdfg, seed=NOMINAL).registers if verify else None,
+        cache=store,
+        workers=workers,
+        fault_injector=fault_injector,
+        point_timeout=point_timeout,
+        retries=retries,
+    )
+    result = ExplorationResult(
+        points=engine.run(
+            default_gt_grid() if global_subsets is None else global_subsets,
+            default_lt_grid() if local_subsets is None else local_subsets,
         )
-        result = ExplorationResult(points=engine.run(global_subsets, local_subsets))
-        if store is not None:
-            if store.directory is not None:
-                store.save()
-            result.stats["cache"] = store.stats()
-        result.stats.update(
-            evaluations=engine.evaluations_computed,
-            edges=engine.edges_applied,
-        )
-        if watchdog is not None:
-            result.stats["watchdog_active"] = watchdog
-        if engine.interrupted:
-            result.stats["interrupted"] = True
-        if engine.pool_diagnostics is not None:
-            result.stats["pool"] = engine.pool_diagnostics
-        failed = len(result.failed_points())
-        if failed:
-            result.stats["failed"] = failed
-        return result
-
-    payloads = [
-        (tuple(global_transforms), tuple(local_transforms))
-        for global_transforms in global_subsets
-        for local_transforms in local_subsets
-    ]
-
-    from repro.resilience.pool import resilient_map, serial_map
-
-    result = ExplorationResult()
-    initargs = (cdfg, delays, seed, reference, golden, fault_injector, point_timeout)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers is not None and workers > 1 and len(payloads) > 1:
-        points, diagnostics = resilient_map(
-            _evaluate_config,
-            payloads,
-            max_workers=min(workers, len(payloads)),
-            initializer=_init_point_context,
-            initargs=initargs,
-            retries=retries,
-        )
-    else:
-        points, diagnostics = serial_map(
-            _evaluate_config, payloads, initializer=_init_point_context, initargs=initargs
-        )
-    result.points.extend(point for point in points if point is not None)
-    result.stats["evaluations"] = len(result.points)
+    )
+    if store is not None:
+        if store.directory is not None:
+            store.save()
+        result.stats["cache"] = store.stats()
+    result.stats.update(
+        evaluations=engine.evaluations_computed,
+        edges=engine.edges_applied,
+    )
     if watchdog is not None:
         result.stats["watchdog_active"] = watchdog
-    if diagnostics.interrupted:
+    if engine.interrupted:
         result.stats["interrupted"] = True
-    if diagnostics.broken_pools or diagnostics.degraded_serial:
-        result.stats["pool"] = diagnostics.to_dict()
+    if engine.pool_diagnostics is not None:
+        result.stats["pool"] = engine.pool_diagnostics
     failed = len(result.failed_points())
     if failed:
         result.stats["failed"] = failed

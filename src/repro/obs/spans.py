@@ -39,6 +39,7 @@ __all__ = [
     "set_attribute",
     "spans",
     "reset_spans",
+    "trim_spans",
     "format_spans",
     "spans_to_dicts",
 ]
@@ -106,6 +107,17 @@ def spans() -> List[Span]:
 def reset_spans() -> None:
     """Clear the registry (open spans still record on exit)."""
     _spans.clear()
+
+
+def trim_spans(keep: int) -> None:
+    """Drop all but the newest ``keep`` recorded spans.
+
+    Long-lived processes (``repro serve``) call this to bound the
+    registry; :mod:`repro.perf` section totals are unaffected.
+    """
+    excess = len(_spans) - keep
+    if excess > 0:
+        del _spans[:excess]
 
 
 def spans_to_dicts() -> List[Dict[str, object]]:

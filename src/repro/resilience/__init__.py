@@ -9,9 +9,9 @@ Three concerns, one subsystem:
   merged channels, and the behaviour of the whole design under random
   delay faults (``repro faults`` on the CLI);
 - :mod:`repro.resilience.pool` / :mod:`repro.resilience.injection` —
-  crash-tolerant process-pool mapping (retry, backoff, serial
-  degradation, interrupt preservation) plus the deterministic failure
-  injectors that exercise it in tests and CI.
+  the one crash-tolerant process pool (rebuild with backoff, in-process
+  degradation, joined shutdown) and the sweep map built on it, plus the
+  deterministic failure injectors that exercise them in tests and CI.
 """
 
 from repro.resilience.campaign import (
@@ -32,7 +32,12 @@ from repro.resilience.injection import (
     parse_inject_spec,
     point_deadline,
 )
-from repro.resilience.pool import MapDiagnostics, RetryPolicy, resilient_map, serial_map
+from repro.resilience.pool import (
+    MapDiagnostics,
+    RetryPolicy,
+    WorkerPool,
+    resilient_map,
+)
 
 __all__ = [
     "ArcSlackEntry",
@@ -47,6 +52,7 @@ __all__ = [
     "MapDiagnostics",
     "PointTimeout",
     "RetryPolicy",
+    "WorkerPool",
     "fault_targets",
     "load_report",
     "parse_inject_spec",
@@ -54,6 +60,5 @@ __all__ = [
     "quick_probe",
     "resilient_map",
     "run_campaign",
-    "serial_map",
     "unit_slowdown",
 ]

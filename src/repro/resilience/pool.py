@@ -1,36 +1,44 @@
-"""Crash-tolerant process-pool mapping for exploration sweeps.
+"""The one crash-tolerant process pool, and the sweep map built on it.
 
-``ProcessPoolExecutor.map`` has all-or-nothing semantics: one worker
-dying (OOM kill, segfault in a native extension, ``os._exit``) raises
-``BrokenProcessPool`` and throws away every completed result.  For a
-design-space sweep that is the wrong trade — 63 finished points should
-not be lost because point 64 crashed the worker.
+One worker dying (OOM kill, segfault in a native extension,
+``os._exit``) breaks a whole ``ProcessPoolExecutor``: every pending
+future raises ``BrokenProcessPool``.  :class:`WorkerPool` owns the
+executor and the recovery discipline every pool in the program shares:
+
+1. **Rebuild**: after a collapse the pool is replaced, backing off by
+   :meth:`RetryPolicy.delay` between attempts (a transient crash — OOM
+   spike, killed container sibling — usually clears), and every
+   collapse is counted.
+2. **In-process degradation**: once the policy's ``max_retries``
+   rebuilds are spent, the caller's remaining work runs in the calling
+   process.  A payload that *deterministically* kills its worker can
+   then be caught as an ordinary exception (or at worst reproduces
+   under a debugger instead of vanishing in a pool).
+3. **Clean shutdown**: a normal shutdown joins the workers, so none
+   outlive the call that used them.
+
+Three callers share it: :func:`resilient_map` (the exploration
+engine's fan-out), the shard runner's per-shard pools
+(:mod:`repro.cache.shards`), and the job server's runner
+(:mod:`repro.serve.runner`), which rebuilds without backing off or
+degrading — its dispatcher retries jobs asynchronously instead.  The
+multiprocessing context is the caller's choice; only the server needs
+``forkserver`` (see :class:`~repro.serve.runner.JobRunner`).
 
 :func:`resilient_map` keeps per-payload futures so completed results
-survive a pool collapse, then recovers in three stages:
-
-1. **Retry**: rebuild the pool and resubmit only the unfinished
-   payloads, with exponential backoff between attempts (a transient
-   crash — OOM spike, killed container sibling — usually clears).
-2. **Serial degradation**: after ``retries`` collapses, evaluate the
-   remaining payloads in-process.  A payload that *deterministically*
-   kills its worker can then be caught as an ordinary exception (or at
-   worst reproduces under a debugger instead of vanishing in a pool).
-3. **Interrupt preservation**: ``KeyboardInterrupt`` stops the sweep
-   but returns every completed result, flagged in the diagnostics, so
-   the caller can flush caches and print a partial table.
-
-Exceptions raised by individual payloads are converted through
-``on_error`` (payload, exception) -> result, never aborting the map.
+survive a collapse, resubmits only the unfinished payloads, and on
+``KeyboardInterrupt`` returns every completed result, flagged in the
+diagnostics, so the caller can flush caches and print a partial table.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 #: distinguishes "never computed" from a legitimate None result
@@ -74,6 +82,80 @@ class RetryPolicy:
         return [self.delay(attempt) for attempt in range(self.max_retries)]
 
 
+class WorkerPool:
+    """A process pool that rebuilds itself when a worker dies.
+
+    ``submit`` hands work to the current executor.  When a future
+    raises ``BrokenProcessPool`` the caller calls :meth:`recover`:
+    attempt *n* sleeps ``policy.delay(n)`` and rebuilds, until
+    ``policy.max_retries`` rebuilds are spent — from then on
+    :meth:`recover` returns ``False`` and the caller runs its work
+    through :meth:`run_local` instead.  The budget is per pool, not
+    per payload.  ``broken`` counts every collapse.
+    """
+
+    def __init__(
+        self,
+        max_workers: int,
+        initializer: Optional[Callable] = None,
+        initargs: Tuple = (),
+        policy: Optional[RetryPolicy] = None,
+        mp_context=None,
+    ):
+        self.policy = policy if policy is not None else RetryPolicy()
+        self.mp_context = mp_context
+        self.broken = 0
+        self._local_init = (initializer, initargs)
+        self._build = partial(
+            ProcessPoolExecutor, max_workers, mp_context, initializer, initargs
+        )
+        self._executor: Optional[ProcessPoolExecutor] = self._build()
+
+    @property
+    def degraded(self) -> bool:
+        """The rebuild budget is spent (or the pool is shut down)."""
+        return self._executor is None
+
+    def submit(self, fn: Callable, *args) -> Future:
+        return self._executor.submit(fn, *args)
+
+    def rebuild(self) -> None:
+        """Replace the executor at once (a broken executor terminates
+        and joins its own workers)."""
+        self.broken += 1
+        self._executor.shutdown(wait=False)
+        self._executor = self._build()
+
+    def recover(self) -> bool:
+        """After a ``BrokenProcessPool``: back off and rebuild, or —
+        once ``policy.max_retries`` rebuilds are spent — drop the pool
+        and return ``False`` so the caller degrades to :meth:`run_local`."""
+        if self.broken >= self.policy.max_retries:
+            self.broken += 1
+            self.shutdown()
+            return False
+        time.sleep(self.policy.delay(self.broken))
+        self.rebuild()
+        return True
+
+    def run_local(self, fn: Callable, *args):
+        """Run ``fn`` in the calling process; the initializer runs here
+        once first, as it would in a worker."""
+        initializer, initargs = self._local_init
+        if initializer is not None:
+            self._local_init = (None, ())
+            initializer(*initargs)
+        return fn(*args)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool.  ``wait`` joins the workers; ``wait=False``
+        (interrupts, early stops) cancels queued work and returns at
+        once."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=not wait)
+
+
 @dataclass
 class MapDiagnostics:
     """What the resilient map had to do to finish."""
@@ -82,7 +164,6 @@ class MapDiagnostics:
     retried_payloads: int = 0
     degraded_serial: bool = False
     interrupted: bool = False
-    completed: int = 0
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -95,118 +176,43 @@ def resilient_map(
     initializer: Optional[Callable] = None,
     initargs: Tuple = (),
     retries: int = 2,
-    backoff: float = 0.05,
-    on_error: Optional[Callable] = None,
-    policy: Optional[RetryPolicy] = None,
 ) -> Tuple[List, MapDiagnostics]:
-    """Map ``func`` over ``payloads`` on a process pool, tolerating crashes.
+    """Map ``func`` over ``payloads`` on a :class:`WorkerPool`.
 
     Returns ``(results, diagnostics)`` where ``results`` aligns with
     ``payloads``; entries never computed (interrupt) are ``None``.
-    ``on_error`` converts a payload's exception into its result slot
-    (default: re-raise, which callers that pre-catch inside ``func``
-    never hit).  ``policy`` governs how many pool collapses are
-    retried and how long to back off between rebuilds; the legacy
-    ``retries``/``backoff`` arguments build one when it is omitted.
+    ``func`` must catch its own per-payload exceptions.  Up to
+    ``retries`` pool collapses are rebuilt before the unfinished
+    payloads run in-process.
     """
-    if policy is None:
-        policy = RetryPolicy(max_retries=retries, base_delay=backoff)
     results = [_UNSET] * len(payloads)
     diagnostics = MapDiagnostics()
+    pool = WorkerPool(
+        min(max_workers, len(payloads)),
+        initializer=initializer,
+        initargs=initargs,
+        policy=RetryPolicy(max_retries=retries),
+    )
     pending = list(range(len(payloads)))
-    attempt = 0
-
-    while pending:
-        broken = False
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(max_workers, len(pending)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                futures = {pool.submit(func, payloads[index]): index for index in pending}
-                not_done = set(futures)
+    try:
+        while pending and not diagnostics.degraded_serial:
+            futures = {pool.submit(func, payloads[index]): index for index in pending}
+            broken = False
+            for future in as_completed(futures):
                 try:
-                    while not_done:
-                        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index = futures[future]
-                            try:
-                                results[index] = future.result()
-                                diagnostics.completed += 1
-                            except BrokenProcessPool:
-                                broken = True
-                            except Exception as exc:
-                                if on_error is None:
-                                    raise
-                                results[index] = on_error(payloads[index], exc)
-                                diagnostics.completed += 1
-                        if broken:
-                            break
-                except KeyboardInterrupt:
-                    diagnostics.interrupted = True
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return _finalize(results), diagnostics
-        except BrokenProcessPool:
-            broken = True
-        except KeyboardInterrupt:
-            diagnostics.interrupted = True
-            return _finalize(results), diagnostics
-
-        pending = [index for index in pending if results[index] is _UNSET]
-        if not pending:
-            break
-        if not broken:
-            continue  # defensive: nothing crashed, loop resubmits leftovers
-        diagnostics.broken_pools += 1
-        diagnostics.retried_payloads += len(pending)
-        if attempt >= policy.max_retries:
-            diagnostics.degraded_serial = True
-            serial_results, serial_diag = serial_map(
-                func,
-                [payloads[index] for index in pending],
-                initializer=initializer,
-                initargs=initargs,
-                on_error=on_error,
-            )
-            for index, result in zip(pending, serial_results):
-                if result is not None:
-                    results[index] = result
-            diagnostics.completed += serial_diag.completed
-            diagnostics.interrupted = diagnostics.interrupted or serial_diag.interrupted
-            break
-        time.sleep(policy.delay(attempt))
-        attempt += 1
-
-    return _finalize(results), diagnostics
-
-
-def serial_map(
-    func: Callable,
-    payloads: Sequence,
-    initializer: Optional[Callable] = None,
-    initargs: Tuple = (),
-    on_error: Optional[Callable] = None,
-) -> Tuple[List, MapDiagnostics]:
-    """The in-process twin of :func:`resilient_map` (same contract)."""
-    diagnostics = MapDiagnostics()
-    if initializer is not None:
-        initializer(*initargs)
-    results: List = [None] * len(payloads)
-    for position, payload in enumerate(payloads):
-        try:
-            results[position] = func(payload)
-            diagnostics.completed += 1
-        except KeyboardInterrupt:
-            diagnostics.interrupted = True
-            break
-        except Exception as exc:
-            if on_error is None:
-                raise
-            results[position] = on_error(payload, exc)
-            diagnostics.completed += 1
-    return results, diagnostics
-
-
-def _finalize(results: List) -> List:
-    return [None if result is _UNSET else result for result in results]
+                    results[futures[future]] = future.result()
+                except BrokenProcessPool:
+                    broken = True  # every sibling future fails fast too
+            pending = [index for index in pending if results[index] is _UNSET]
+            if broken and pending:
+                diagnostics.retried_payloads += len(pending)
+                diagnostics.degraded_serial = not pool.recover()
+        for index in pending:  # degraded: the rebuild budget is spent
+            results[index] = pool.run_local(func, payloads[index])
+    except KeyboardInterrupt:
+        diagnostics.interrupted = True
+        pool.shutdown(wait=False)
+    finally:
+        pool.shutdown()
+    diagnostics.broken_pools = pool.broken
+    return [None if result is _UNSET else result for result in results], diagnostics

@@ -318,9 +318,7 @@ def _run_explore(params: Dict[str, object]) -> dict:
     cdfg = WORKLOADS[params["workload"]]()
     gts = [list(subset) for subset in params["gts"]] or None
     lts = [list(subset) for subset in params["lts"]] or None
-    result = explore_design_space(
-        cdfg, global_subsets=gts, local_subsets=lts, incremental=True
-    )
+    result = explore_design_space(cdfg, global_subsets=gts, local_subsets=lts)
     return {
         "kind": "explore",
         "workload": params["workload"],

@@ -1,9 +1,7 @@
 """The worker pool behind the job server.
 
-Wraps a :class:`~concurrent.futures.ProcessPoolExecutor` (or a thread
-pool, for lightweight deployments and tests) behind an async call,
-with the resilience discipline of :mod:`repro.resilience.pool` ported
-to the serving path:
+Wraps a :class:`~repro.resilience.pool.WorkerPool` (or a thread pool,
+for lightweight deployments and tests) behind an async call:
 
 - **Per-job timeouts**, enforced twice: inside the worker via
   :func:`repro.resilience.injection.point_deadline` (``SIGALRM`` on
@@ -16,7 +14,9 @@ to the serving path:
   in :attr:`rebuilds`) and reports the failure as *transient* so the
   dispatcher retries the job under its
   :class:`~repro.resilience.pool.RetryPolicy` budget.  In-flight
-  sibling jobs fail the same way and retry too — none are lost.
+  sibling jobs fail the same way and retry too — none are lost.  There
+  is no in-process fallback: running a job in the server process
+  would block its event loop.
 
 The runner never touches the job store: it executes and classifies;
 the server owns state transitions.
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional
 
 from repro.resilience.injection import PointTimeout, point_deadline
+from repro.resilience.pool import WorkerPool
 from repro.serve.jobs import execute_job
 
 #: executor kinds the runner can host
@@ -55,11 +56,7 @@ class JobRunner:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.workers = max(1, int(workers))
         self.executor_kind = executor
-        self.rebuilds = 0
-        self._pool = self._build()
-
-    def _build(self):
-        if self.executor_kind == "process":
+        if executor == "process":
             # fork-context workers inherit every FD open at the moment
             # they spawn — including sockets the server has *accepted*.
             # A worker forked mid-request keeps a copy of the client's
@@ -75,25 +72,23 @@ class JobRunner:
 
             forkserver.set_forkserver_preload(["repro.serve.jobs"])
             forkserver.ensure_running()
-            context = multiprocessing.get_context("forkserver")
-            return ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
+            self._pool = WorkerPool(
+                self.workers, mp_context=multiprocessing.get_context("forkserver")
             )
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
+        else:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-serve"
+            )
 
-    def rebuild(self) -> None:
-        """Replace a broken pool (old one torn down without waiting)."""
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        self.rebuilds += 1
-        self._pool = self._build()
+    @property
+    def rebuilds(self) -> int:
+        return self._pool.broken if self.executor_kind == "process" else 0
 
     def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=not wait)
+        if self.executor_kind == "process":
+            self._pool.shutdown(wait=wait)
+        else:
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
     # ------------------------------------------------------------------
     async def execute(
@@ -106,13 +101,14 @@ class JobRunner:
         rebuild for worker deaths, and whatever the job itself raised
         otherwise.
         """
-        loop = asyncio.get_running_loop()
         # thread mode cannot arm SIGALRM off the main thread; pass no
         # in-worker deadline there and rely on the backstop alone
         deadline = timeout if self.executor_kind == "process" else None
-        future = loop.run_in_executor(self._pool, _invoke, kind, params, deadline)
         backstop = None if timeout is None else timeout + TIMEOUT_GRACE
         try:
+            future = asyncio.wrap_future(
+                self._pool.submit(_invoke, kind, params, deadline)
+            )
             return await asyncio.wait_for(future, backstop)
         except asyncio.TimeoutError:
             # the worker may still be grinding; the store's late-result
@@ -121,7 +117,9 @@ class JobRunner:
                 f"job exceeded its {timeout:g}s deadline (async backstop)"
             )
         except BrokenProcessPool:
-            self.rebuild()
+            # no backoff here: the dispatcher sleeps its RetryPolicy
+            # delay asynchronously before the job's next attempt
+            self._pool.rebuild()
             raise
 
     def stats(self) -> Dict[str, object]:

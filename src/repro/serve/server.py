@@ -27,9 +27,13 @@ Endpoints (all JSON)::
     GET  /healthz         {"status": "ok"|"draining"}
     POST /drain           begin a graceful drain (also wired to signals)
 
-Every request runs inside an observability span (``serve/<METHOD>
-<route>``), so ``repro.obs`` tooling sees serving work the same way it
-sees synthesis passes.
+Every request runs inside an observability span named after its route
+template (``serve/GET /jobs/{id}``; anything unrouted is
+``serve/unmatched``), so ``repro.obs`` tooling sees serving work the
+same way it sees synthesis passes — with a fixed set of section names,
+however many job IDs and junk paths clients send.  The server keeps
+only the newest :data:`SPAN_HISTORY` spans: it runs for as long as it
+is up, and the per-section totals in :mod:`repro.perf` carry the rest.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.errors import JobError
-from repro.obs.spans import span
+from repro.obs.spans import span, trim_spans
 from repro.resilience.pool import RetryPolicy
 from repro.serve import jobs as jobmodel
 from repro.serve.jobs import (
@@ -67,6 +71,33 @@ _REASONS = {
 
 #: largest request body the server will read
 MAX_BODY = 1 << 20
+
+#: spans a server retains (oldest dropped first)
+SPAN_HISTORY = 1024
+
+#: (method, route template) pairs :meth:`JobServer._route` answers
+_ROUTES = {
+    ("GET", "/healthz"),
+    ("GET", "/stats"),
+    ("GET", "/jobs"),
+    ("POST", "/jobs"),
+    ("GET", "/jobs/{id}"),
+    ("POST", "/drain"),
+}
+
+
+def request_path(target: str) -> str:
+    """The request target without query string or trailing slash."""
+    return target.split("?", 1)[0].rstrip("/") or "/"
+
+
+def route_span_name(method: str, path: str) -> str:
+    """The span name of a request: its route template, never the raw
+    path, so client-chosen IDs cannot mint new section keys."""
+    template = "/jobs/{id}" if path.startswith("/jobs/") else path
+    if (method, template) in _ROUTES:
+        return f"serve/{method} {template}"
+    return "serve/unmatched"
 
 
 class ServerConfig:
@@ -224,6 +255,7 @@ class JobServer:
         else:
             self.store.finish(job.job_id, result)
         finally:
+            trim_spans(SPAN_HISTORY)
             self._wake.set()
 
     # ------------------------------------------------------------------
@@ -292,11 +324,14 @@ class JobServer:
                     self.dropped_connections += 1
                     return None, None
 
-        with span(f"serve/{method} {target.split('?')[0]}"):
-            return self._route(method, target, body)
+        path = request_path(target)
+        try:
+            with span(route_span_name(method, path)):
+                return self._route(method, path, body)
+        finally:
+            trim_spans(SPAN_HISTORY)
 
-    def _route(self, method: str, target: str, body: bytes) -> Tuple[int, dict]:
-        path = target.split("?", 1)[0].rstrip("/") or "/"
+    def _route(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
         if path == "/healthz" and method == "GET":
             return 200, {
                 "status": "draining" if self.draining else "ok",

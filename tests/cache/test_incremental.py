@@ -2,8 +2,9 @@
 
 The contract under test: the shared-prefix engine, with or without a
 persistent cache, produces DesignPoint lists *bit-identical* to the
-historical per-point path — same metrics, same conformance stamps, same
-bottleneck labels, same provenance counts, same order.
+independent per-point oracle (``tests/per_point.py``) — same metrics,
+same conformance stamps, same bottleneck labels, same provenance
+counts, same order.
 """
 
 import json
@@ -14,51 +15,52 @@ from repro.cache import ArtifactCache
 from repro.explore import explore_design_space
 from repro.timing.delays import DelayModel
 from repro.workloads import build_diffeq_cdfg, diffeq_reference
+from tests.per_point import explore_per_point
 
 GT_SUBSETS = [(), ("GT1",), ("GT1", "GT2"), ("GT2", "GT3"), ("GT1", "GT2", "GT3", "GT4", "GT5")]
 LT_SUBSETS = [(), ("LT4", "LT2", "LT1", "LT5")]
 
 
-def _sweep(cdfg, **kwargs):
+def _sweep(cdfg, explore=explore_design_space, **kwargs):
     kwargs.setdefault("global_subsets", GT_SUBSETS)
     kwargs.setdefault("local_subsets", LT_SUBSETS)
     kwargs.setdefault("reference", diffeq_reference())
-    return explore_design_space(cdfg, **kwargs)
+    return explore(cdfg, **kwargs)
 
 
 class TestIncrementalEquivalence:
     def test_matches_per_point_path(self, diffeq):
-        baseline = _sweep(diffeq, incremental=False)
-        incremental = _sweep(diffeq, incremental=True)
+        baseline = _sweep(diffeq, explore=explore_per_point)
+        incremental = _sweep(diffeq)
         assert incremental.points == baseline.points
 
     def test_conformance_and_bottleneck_survive(self, diffeq):
-        for point in _sweep(diffeq, incremental=True).points:
+        for point in _sweep(diffeq).points:
             assert point.conformance == "conformant"
             assert point.conformant
             assert point.bottleneck
 
     def test_non_canonical_subset_order(self, diffeq):
         subsets = [("GT2", "GT1"), ("GT5", "GT3")]
-        baseline = _sweep(diffeq, global_subsets=subsets, incremental=False)
-        incremental = _sweep(diffeq, global_subsets=subsets, incremental=True)
+        baseline = _sweep(diffeq, global_subsets=subsets, explore=explore_per_point)
+        incremental = _sweep(diffeq, global_subsets=subsets)
         assert incremental.points == baseline.points
         # the *reported* subset keeps the caller's spelling
         assert incremental.points[0].global_transforms == ("GT2", "GT1")
 
     def test_unknown_transform_rejected(self, diffeq):
         with pytest.raises(KeyError):
-            _sweep(diffeq, global_subsets=[("GT9",)], incremental=True)
+            _sweep(diffeq, global_subsets=[("GT9",)])
         with pytest.raises(KeyError):
-            _sweep(diffeq, local_subsets=[("LT9",)], incremental=True)
+            _sweep(diffeq, local_subsets=[("LT9",)])
 
     def test_parallel_matches_serial(self, diffeq):
-        serial = _sweep(diffeq, incremental=True)
-        parallel = _sweep(diffeq, incremental=True, workers=2)
+        serial = _sweep(diffeq)
+        parallel = _sweep(diffeq, workers=2)
         assert parallel.points == serial.points
 
     def test_shares_work_across_grid(self, diffeq):
-        result = _sweep(diffeq, incremental=True)
+        result = _sweep(diffeq)
         points = len(GT_SUBSETS) * len(LT_SUBSETS)
         assert len(result.points) == points
         # distinct transform applications <= trie edges < per-point total

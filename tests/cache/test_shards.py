@@ -362,6 +362,28 @@ def test_killed_pool_worker_rebuilds_and_reports(tmp_path):
     assert "post-crash retry" in by_gt[("GT1",)].error
 
 
+def test_persistent_crasher_follows_the_retry_policy(monkeypatch):
+    """Every pool collapse but the last backs off by the shard's
+    RetryPolicy schedule; the last degrades the unit to in-thread."""
+    import repro.resilience.pool as pool_module
+    from repro.resilience.pool import RetryPolicy
+
+    sleeps = []
+    monkeypatch.setattr(pool_module.time, "sleep", sleeps.append)
+    retries = 2
+    injector = ConfigFaultInjector.for_configs([("GT1",)], mode="exit")
+    result = explore_space(
+        tiny_space(), shards=1, retries=retries, fault_injector=injector
+    )
+    assert result.complete
+    assert result.stats["broken_pools"] == retries + 1
+    assert result.stats["degraded_units"] == 1
+    assert sleeps == RetryPolicy(max_retries=retries).schedule()
+    by_gt = {p.global_transforms: p for p in result.points}
+    assert by_gt[()].status == "ok"
+    assert "serial fallback" in by_gt[("GT1",)].error
+
+
 # ----------------------------------------------------------------------
 # journal unit behaviour
 # ----------------------------------------------------------------------
@@ -401,7 +423,6 @@ def test_run_scaling_bench_verdicts():
 
     result = run_scaling_bench(
         shards=2,
-        workers=1,
         workloads=("diffeq",),
         random_scenarios=0,
         delay_scales=(1.0,),
@@ -409,7 +430,11 @@ def test_run_scaling_bench_verdicts():
     )
     assert result["points"] == 64
     assert result["contexts"] == 1
-    assert result["identical"] is True  # sharded == single-pool, bit for bit
-    assert result["speedup"] > 0
+    assert result["identical"] is True  # both shard runs == single-pool, bit for bit
+    assert result["memo_gain"] > 0 and result["parallel_gain"] > 0
+    assert result["shard_efficiency"] == round(
+        result["parallel_gain"] / result["effective_shards"], 3
+    )
+    assert "speedup" not in result  # split into the two gains above
     assert result["resume_speedup"] > 0
     assert "identical_resume" not in result  # drill skipped on request

@@ -1,8 +1,10 @@
 """Generators for the golden-report regression suite.
 
-Each function regenerates one checked-in report byte-for-byte: the
-same code path the CLI uses, rendered through the canonical
-``repro-report/v1`` envelope.  Wall-clock fields (the fuzzer's
+Each function regenerates one checked-in report byte-for-byte,
+rendered through the canonical ``repro-report/v1`` envelope.  The
+explore reports come from the independent per-point oracle
+(``tests/per_point.py``); ``bench/`` and the engine tests compare the
+shipped shared-prefix engine against the same files.  Wall-clock fields (the fuzzer's
 ``duration``) are zeroed so the bytes depend only on the flow's
 semantics, never on machine speed.
 
@@ -14,11 +16,11 @@ with::
 
 from __future__ import annotations
 
-from repro.explore import explore_design_space
 from repro.resilience import run_campaign
 from repro.verify import fuzz_workload, prove_workload
 from repro.verify.schema import canonical_json, report_envelope
 from repro.workloads import WORKLOADS
+from tests.per_point import explore_per_point
 
 #: pinned campaign sizes — small enough to run in CI on every push,
 #: large enough to exercise shrinking, faults and the full GT/LT grid
@@ -40,7 +42,7 @@ def faults_text(workload: str) -> str:
 
 
 def explore_text(workload: str) -> str:
-    result = explore_design_space(WORKLOADS[workload](), incremental=False)
+    result = explore_per_point(WORKLOADS[workload]())
     return canonical_json(
         report_envelope("explore", [point.to_dict() for point in result.points])
     )

@@ -32,7 +32,6 @@ class TestWorkerCrashRecovery:
         result = explore_design_space(
             diffeq,
             workers=4,
-            incremental=False,
             fault_injector=injector,
         )
         assert len(result.points) == 64
@@ -54,7 +53,6 @@ class TestWorkerCrashRecovery:
             global_subsets=SMALL_GTS,
             local_subsets=SMALL_LTS,
             workers=2,
-            incremental=False,
             retries=1,
             fault_injector=injector,
         )
@@ -67,14 +65,14 @@ class TestWorkerCrashRecovery:
 
 
 class TestInjectedPointFailures:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_raise_injection_fails_exactly_the_targets(self, diffeq, incremental):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_raise_injection_fails_exactly_the_targets(self, diffeq, workers):
         injector = ConfigFaultInjector.for_configs([("GT1",), ()])
         result = explore_design_space(
             diffeq,
             global_subsets=SMALL_GTS,
             local_subsets=SMALL_LTS,
-            incremental=incremental,
+            workers=workers,
             fault_injector=injector,
         )
         assert len(result.points) == len(SMALL_GTS) * len(SMALL_LTS)
@@ -93,7 +91,6 @@ class TestInjectedPointFailures:
             diffeq,
             global_subsets=SMALL_GTS,
             local_subsets=SMALL_LTS,
-            incremental=False,
             fault_injector=injector,
         )
         frontier = result.pareto_points()
@@ -106,7 +103,6 @@ class TestInjectedPointFailures:
             diffeq,
             global_subsets=[()],
             local_subsets=[()],
-            incremental=False,
             fault_injector=ConfigFaultInjector.for_configs([()]),
         )
         assert len(result.failed_points()) == 1
@@ -118,7 +114,6 @@ class TestInjectedPointFailures:
             diffeq,
             global_subsets=[(), ("GT1",)],
             local_subsets=[()],
-            incremental=False,
             point_timeout=1e-6,
         )
         assert len(result.points) == 2
@@ -165,7 +160,6 @@ class TestInterruptPreservesPartials:
             diffeq,
             global_subsets=SMALL_GTS,
             local_subsets=SMALL_LTS,
-            incremental=False,
             fault_injector=_interrupt_gt1_gt2,
         )
         assert result.stats["interrupted"] is True

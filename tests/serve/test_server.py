@@ -216,7 +216,44 @@ class TestWorkerPoolIsolation:
 
         runner = JobRunner(workers=1, executor="process")
         try:
-            context = runner._pool._mp_context
+            context = runner._pool.mp_context
             assert context.get_start_method() == "forkserver"
         finally:
             runner.shutdown(wait=False)
+
+
+class TestBoundedObservability:
+    def test_route_templates_name_spans(self):
+        from repro.serve.server import request_path, route_span_name
+
+        def name(method, target):
+            return route_span_name(method, request_path(target))
+
+        assert name("GET", "/jobs/j000042?x=1") == "serve/GET /jobs/{id}"
+        assert name("POST", "/jobs/") == "serve/POST /jobs"
+        assert name("GET", "/no/such/path") == "serve/unmatched"
+        assert name("BREW", "/jobs") == "serve/unmatched"
+
+    def test_distinct_ids_and_junk_paths_leave_registries_flat(
+        self, tmp_path, monkeypatch
+    ):
+        """A long-lived server must not grow a section key per job ID or
+        junk path, nor keep every request's span forever."""
+        import repro.serve.server as server_module
+        from repro.obs.spans import spans
+        from repro.perf import section_timings
+
+        monkeypatch.setattr(server_module, "SPAN_HISTORY", 64)
+        with ServerHarness(tmp_path / "s.sqlite3", _config()) as harness:
+            client = harness.client()
+
+            def burst(start, count):
+                for index in range(start, start + count):
+                    path = f"/jobs/j{index:06d}" if index % 2 else f"/junk/{index}"
+                    assert client.request("GET", path)[0] == 404
+
+            burst(0, 100)  # both route names exist; the span ring is full
+            keys, held = len(section_timings()), len(spans())
+            burst(100, 1000)
+            assert len(section_timings()) == keys
+            assert len(spans()) == held == 64

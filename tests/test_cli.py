@@ -80,11 +80,6 @@ class TestCli:
         assert "Pareto-optimal" in out
         assert "cache:" not in out
 
-    def test_explore_per_point(self, capsys):
-        assert main(["explore", "gcd", "--per-point"]) == 0
-        out = capsys.readouterr().out
-        assert "Pareto-optimal" in out
-
     def test_explore_workers(self, capsys):
         assert main(["explore", "gcd", "--workers", "2", "--no-cache"]) == 0
         out = capsys.readouterr().out
@@ -93,14 +88,25 @@ class TestCli:
     def test_bench(self, tmp_path, capsys):
         results = tmp_path / "bench.json"
         args = [
-            "bench", "gcd", "--check", "--no-baseline",
+            "bench", "gcd", "--check",
             "--output", str(results), "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(args + ["--compare"]) == 0
         out = capsys.readouterr().out
         assert "identical: True" in out
         assert "no prior run to compare" in out
+        for key in ("cold", "warm", "speedup_warm"):
+            assert f"{key}: " in out
         assert results.exists()
+        import json
+
+        entry = json.loads(results.read_text(encoding="utf-8"))["runs"][0]
+        assert entry["bench"] == "explore_incremental/gcd"
+        assert set(entry["metrics"]) == {
+            "points", "evaluations", "edges", "warm", "speedup_warm", "identical",
+        }
+        assert entry["metrics"]["identical"] is True
+        assert entry["metrics"]["speedup_warm"] > 0
         # a second run finds the recorded history to compare against
         assert main(args + ["--compare"]) == 0
         out = capsys.readouterr().out
@@ -509,11 +515,11 @@ class TestBenchExploreCli:
     """bench --explore wiring (the measurement itself is canned)."""
 
     CANNED = {
-        "points": 1024, "contexts": 16, "shards": 4, "workers": 4,
-        "single_pool_wall": 60.0, "pps_single": 17.07,
-        "sharded_wall": 25.0, "pps_sharded": 40.96,
-        "speedup": 2.4, "shard_efficiency": 0.6, "stolen_units": 7,
-        "resume_wall": 1.0, "resume_speedup": 25.0,
+        "points": 1024, "contexts": 16, "shards": 4, "effective_shards": 2,
+        "single_pool_wall": 60.0, "one_shard_wall": 25.0,
+        "sharded_wall": 20.0, "pps_single": 17.07, "pps_sharded": 51.2,
+        "memo_gain": 2.4, "parallel_gain": 1.25, "shard_efficiency": 0.625,
+        "stolen_units": 7, "resume_wall": 1.0, "resume_speedup": 20.0,
         "identical": True, "identical_resume": True,
     }
 
@@ -528,14 +534,20 @@ class TestBenchExploreCli:
             ["bench", "diffeq", "--explore", "--shards", "4", "--output", output]
         ) == 0
         out = capsys.readouterr().out
-        assert "2.4x" in out
+        assert "memo gain: 2.4x" in out
+        assert "parallel gain: 1.25x" in out
+        assert "shard efficiency 0.625" in out
         assert "byte-identical" in out
         assert "recorded explore_sharded/diffeq/shards=4" in out
         import json
         from pathlib import Path
 
         history = json.loads(Path(output).read_text(encoding="utf-8"))
-        assert history["runs"][0]["metrics"]["speedup"] == 2.4
+        metrics = history["runs"][0]["metrics"]
+        assert metrics["memo_gain"] == 2.4
+        assert metrics["parallel_gain"] == 1.25
+        assert metrics["shard_efficiency"] == 0.625
+        assert "speedup" not in metrics
 
     def test_check_fails_on_divergence(self, monkeypatch, capsys):
         import repro.bench

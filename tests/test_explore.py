@@ -5,11 +5,11 @@ import pytest
 from repro.explore import (
     DesignPoint,
     ExplorationResult,
-    evaluate_point,
     explore_design_space,
     failed_point,
 )
 from repro.workloads import build_diffeq_cdfg, diffeq_reference
+from tests.per_point import evaluate_point
 
 
 @pytest.fixture(scope="module")
