@@ -117,7 +117,6 @@ def compare_last(bench: str, wall_time: float, path: Optional[Path] = None) -> O
 
 def run_explore_bench(
     workload: str = "diffeq",
-    workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict:
     """Measure ``explore_design_space`` cold vs warm.
@@ -146,11 +145,11 @@ def run_explore_bench(
         shutil.rmtree(directory)
     try:
         start = time.perf_counter()
-        cold = explore_design_space(cdfg, workers=workers, cache=ArtifactCache(directory))
+        cold = explore_design_space(cdfg, cache=ArtifactCache(directory))
         out["cold"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        warm = explore_design_space(cdfg, workers=workers, cache=ArtifactCache(directory))
+        warm = explore_design_space(cdfg, cache=ArtifactCache(directory))
         out["warm"] = time.perf_counter() - start
     finally:
         if tmp is not None:

@@ -3,7 +3,7 @@
 An independent per-point evaluation (the test suite's oracle) re-runs
 the whole synthesize→extract→optimize→simulate pipeline for every grid
 point, so a 64-point sweep applies GT passes 80 times and extracts 64
-designs.  This engine exploits three redundancies instead:
+designs.  This engine exploits two redundancies instead:
 
 1. **Prefix sharing.**  GT subsets are evaluated in canonical order, so
    the grid forms a trie: ``(GT1, GT2, GT3)`` extends ``(GT1, GT2)`` by
@@ -21,22 +21,17 @@ designs.  This engine exploits three redundancies instead:
    ``()``/all-LT pair, and locally-optimized controllers are memoized
    per machine fingerprint.  With an :class:`~repro.cache.store.ArtifactCache`
    the memo persists across runs, making repeated sweeps near-instant.
-3. **Cheap fan-out.**  With ``workers`` > 1, only the *missing*
-   evaluations are shipped to a process pool; the base CDFG travels
-   once per worker (pool initializer), payloads are ``(prefix, lt)``
-   tuples, and workers keep their own trie so prefix work is shared
-   within each process too.
-
 Bit-identical equivalence with the per-point oracle is a hard contract
 (tested in ``tests/cache/`` and by the golden reports): conformance
 stamps, provenance counts, bottleneck labels and makespans all match,
 whether results were computed cold, deduplicated in-process, or served
-from a warm disk cache.
+from a warm disk cache.  The engine itself is serial: parallel sweeps
+fan :meth:`IncrementalExplorer.evaluate_prefix` out over the shard
+runner's worker pools (:mod:`repro.cache.shards`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,10 +82,7 @@ class IncrementalExplorer:
 
     Mirrors the per-point oracle exactly (including the oracle-failure
     re-run semantics and conformance stamping) while sharing every
-    artifact the grid allows.  ``check_edges=False``
-    skips the per-edge global oracle — used by worker processes, whose
-    conformance verdicts are assembled parent-side from the parent's
-    edge records.
+    artifact the grid allows.
     """
 
     def __init__(
@@ -101,11 +93,8 @@ class IncrementalExplorer:
         reference: Optional[Dict[str, float]] = None,
         golden: Optional[Dict[str, float]] = None,
         cache: Optional[ArtifactCache] = None,
-        workers: Optional[int] = None,
-        check_edges: bool = True,
         fault_injector=None,
         point_timeout: Optional[float] = None,
-        retries: int = 2,
         machine_memo: Optional[Dict[str, tuple]] = None,
         design_memo: Optional[Dict[str, DistributedDesign]] = None,
         edge_memo: Optional[Dict[str, dict]] = None,
@@ -117,14 +106,10 @@ class IncrementalExplorer:
         self.reference = reference
         self.golden = golden
         self.cache = cache
-        self.workers = workers
         self.fault_injector = fault_injector
         self.point_timeout = point_timeout
-        self.retries = retries
         #: a KeyboardInterrupt stopped the sweep (points are partial)
         self.interrupted = False
-        #: pool-recovery diagnostics from the last parallel resolve
-        self.pool_diagnostics: Optional[dict] = None
         self._delay_fp = fingerprint_delays(delays)
         self._golden_fp = fingerprint_registers(golden)
         self._seed_key = "nominal" if seed is NOMINAL else repr(seed)
@@ -171,11 +156,10 @@ class IncrementalExplorer:
             # same composition order as the per-point oracle, so the
             # first failure message (and thus the conformance/proof
             # stamps) is bit-identical across both paths
-            if check_edges:
-                self._oracle = compose_global_oracles(
-                    make_global_oracle(delays=delays, deep=False),
-                    make_flow_global_oracle(delays=delays),
-                )
+            self._oracle = compose_global_oracles(
+                make_global_oracle(delays=delays, deep=False),
+                make_flow_global_oracle(delays=delays),
+            )
             self._local_oracle = compose_local_oracles(
                 make_local_oracle(), make_flow_local_oracle()
             )
@@ -413,20 +397,11 @@ class IncrementalExplorer:
             "machines": len(design.controllers),
         }
 
-    def _guarded_eval(self, node, lt: Tuple[str, ...]) -> dict:
-        """Per-point guard: any exception becomes a ``failed`` record.
-
-        ``node`` may be a prefix tuple (worker side), resolved inside
-        the guard so transform failures along the trie path fail only
-        the points that need that path.  Failed records are never
-        written to the artifact cache — a warm sweep must re-attempt,
-        not replay, a crash.
-        """
+    def _guarded_eval(self, node: _TrieNode, lt: Tuple[str, ...]) -> dict:
+        """Per-point guard: any exception becomes a ``failed`` record."""
         from repro.resilience.injection import point_deadline
 
         try:
-            if isinstance(node, tuple):
-                node = self._node(node)
             if self.fault_injector is not None:
                 self.fault_injector(node.prefix, lt)
             with point_deadline(self.point_timeout):
@@ -437,35 +412,24 @@ class IncrementalExplorer:
             return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
     # ------------------------------------------------------------------
-    # assembly
+    # the evaluation entry point and the serial sweep over it
     # ------------------------------------------------------------------
-    def _assemble(self, gt, lt, node: _TrieNode, record: dict):
-        return assemble_point(
-            gt,
-            lt,
-            record,
-            gt_len=len(node.prefix),
-            gt_provenance=node.provenance,
-            gt_failure=node.failure,
-            lt_len=len(self._normalize_lt(lt)),
-            golden_checked=self.golden is not None,
-            reference=self.reference,
-        )
-
     def evaluate_prefix(self, gt: Sequence[str], lt: Sequence[str]) -> dict:
         """Evaluate one ``(gt, lt)`` point and return a self-contained record.
 
-        The shard-runner entry point: unlike :meth:`run`, the result
-        carries the trie-path facts (``gt_len``, ``gt_provenance``,
-        ``gt_failure``) inline, so a *different* process can assemble
-        the final :class:`~repro.explore.DesignPoint` with
-        :func:`assemble_point` without ever touching a trie.  Evaluation
-        is still deduplicated by content key within this explorer.
+        The record carries the trie-path facts (``gt_len``,
+        ``gt_provenance``, ``gt_failure``, ``lt_len``) inline, so any
+        process can build the final :class:`~repro.explore.DesignPoint`
+        with :func:`assemble_point` without touching a trie — the shard
+        runner fans this method out over its worker pools.  Evaluations
+        are deduplicated by content key within this explorer and, with
+        an :class:`~repro.cache.store.ArtifactCache`, across runs.
         """
         prefix = self._normalize_gt(gt)
         lt_norm = self._normalize_lt(lt)
         # raise-mode injectors target grid points by prefix; decide the
-        # match before the content-keyed memo can blur it (see run())
+        # match before the content-keyed memo can blur it (a no-op pass
+        # gives two prefixes one evaluation)
         if (
             self.fault_injector is not None
             and getattr(self.fault_injector, "mode", None) == "raise"
@@ -482,16 +446,27 @@ class IncrementalExplorer:
         except (KeyboardInterrupt, AssertionError):
             raise
         except Exception as exc:
+            # a transform crash along this trie path fails every point
+            # that needs the path, nothing else
             return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
         key = self._eval_key(node, lt_norm)
         record = self._evals.get(key)
+        if record is None and self.cache is not None:
+            record = self.cache.get(key)
+            if record is not None:
+                with span("explore/cache-hit", fingerprint=node.fp[:12], lt="+".join(lt_norm) or "-"):
+                    pass
+                self._evals[key] = record
         if record is None:
             record = self._guarded_eval(node, lt_norm)
-            if record.get("status", "ok") == "ok":
-                # failed records are never memoized — re-attempt, not
-                # replay, a crash (same contract as the cache mirror)
-                self._evals[key] = record
             self.evaluations_computed += 1
+            if record.get("status", "ok") == "ok":
+                # failed records are neither memoized nor cached: the
+                # next point with this key, or a warm sweep, re-attempts
+                # the crash instead of replaying it
+                self._evals[key] = record
+                if self.cache is not None:
+                    self.cache.put(key, record)
         return {
             **record,
             "gt_len": len(node.prefix),
@@ -500,158 +475,68 @@ class IncrementalExplorer:
             "lt_len": len(lt_norm),
         }
 
-    # ------------------------------------------------------------------
-    # drivers
-    # ------------------------------------------------------------------
+    # run() calls evaluate_prefix under this second name, so a profiler
+    # that wraps both public entry points by name (bench/trace.py) never
+    # nests them and counts no evaluation twice
+    _evaluate = evaluate_prefix
+
     def run(
         self,
         global_subsets: Sequence[Sequence[str]],
         local_subsets: Sequence[Sequence[str]],
     ) -> List:
+        """Sweep the grid serially, GT-major, one point at a time.
+
+        A ``KeyboardInterrupt`` sets :attr:`interrupted` and returns the
+        points completed before it.
+        """
+        points = []
+        computed = self.evaluations_computed
         with span("explore/incremental", workload=self.cdfg.name) as section:
-            tasks = []
-            for gt in global_subsets:
-                prefix = self._normalize_gt(gt)
-                # a raise-mode injector is applied parent-side, per grid
-                # point, so exactly the targeted points fail (worker-side
-                # evaluations are deduplicated by content and would blur
-                # that); exit-mode injectors must ride into the workers
-                # they are meant to kill
-                if (
-                    self.fault_injector is not None
-                    and getattr(self.fault_injector, "mode", None) == "raise"
-                    and getattr(self.fault_injector, "matches", lambda gt: False)(prefix)
-                ):
-                    try:
-                        self.fault_injector(prefix, ())
-                        error = "injected fault"
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
+            try:
+                for gt in global_subsets:
                     for lt in local_subsets:
-                        tasks.append((tuple(gt), tuple(lt), None, error, None))
-                    continue
-                try:
-                    node = self._node(prefix)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # a transform crash along this trie path fails every
-                    # point that needs the path, nothing else
-                    error = f"{type(exc).__name__}: {exc}"
-                    for lt in local_subsets:
-                        tasks.append((tuple(gt), tuple(lt), None, error, None))
-                    continue
-                for lt in local_subsets:
-                    lt_norm = self._normalize_lt(lt)
-                    tasks.append((tuple(gt), tuple(lt), node, lt_norm, self._eval_key(node, lt_norm)))
-
-            missing = []
-            claimed = set()
-            for __, __, node, lt_norm, key in tasks:
-                if node is None or key in self._evals or key in claimed:
-                    continue
-                record = self.cache.get(key) if self.cache is not None else None
-                if record is not None:
-                    with span("explore/cache-hit", fingerprint=node.fp[:12], lt="+".join(lt_norm) or "-"):
-                        pass
-                    self._evals[key] = record
-                else:
-                    claimed.add(key)
-                    missing.append((node, lt_norm, key))
-
-            self._resolve(missing)
-
-            points = []
-            for gt, lt, node, lt_norm, key in tasks:
-                if node is None:
-                    from repro.explore import failed_point
-
-                    points.append(failed_point(gt, lt, lt_norm))
-                    continue
-                record = self._evals.get(key)
-                if record is None:
-                    continue  # interrupted before this evaluation ran
-                points.append(self._assemble(gt, lt, node, record))
+                        points.append(
+                            assemble_point(
+                                gt,
+                                lt,
+                                self._evaluate(gt, lt),
+                                golden_checked=self.golden is not None,
+                                reference=self.reference,
+                            )
+                        )
+            except KeyboardInterrupt:
+                self.interrupted = True
+            computed = self.evaluations_computed - computed
             section.attributes.update(
                 points=len(points),
-                evaluations=len(claimed),
-                shared=len(tasks) - len(claimed),
+                evaluations=computed,
+                shared=len(points) - computed,
                 edges=self.edges_applied,
             )
         return points
-
-    def _resolve(self, missing) -> None:
-        """Compute the missing evaluations, serially or on a pool.
-
-        Both paths are fault-tolerant: per-point failures come back as
-        ``failed`` records (never cached), dead workers are retried and
-        degraded to serial, and an interrupt keeps what finished.
-        """
-        from repro.resilience.pool import MapDiagnostics, resilient_map
-
-        workers = self.workers
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        if workers is not None and workers > 1 and len(missing) > 1:
-            payloads = [(node.prefix, lt) for node, lt, __ in missing]
-            records, diagnostics = resilient_map(
-                _evaluate_shared,
-                payloads,
-                max_workers=min(workers, len(missing)),
-                initializer=_init_worker,
-                initargs=(
-                    self.cdfg,
-                    self.delays,
-                    self.seed,
-                    self.golden,
-                    self.fault_injector,
-                    self.point_timeout,
-                ),
-                retries=self.retries,
-            )
-        else:
-            records, diagnostics = [], MapDiagnostics()
-            try:
-                for node, lt, __ in missing:
-                    records.append(self._guarded_eval(node, lt))
-            except KeyboardInterrupt:
-                diagnostics.interrupted = True
-        self.interrupted = self.interrupted or diagnostics.interrupted
-        if diagnostics.broken_pools or diagnostics.degraded_serial:
-            self.pool_diagnostics = diagnostics.to_dict()
-        for (node, lt, key), record in zip(missing, records):
-            if record is None:
-                continue  # interrupted before this evaluation ran
-            self.evaluations_computed += 1
-            self._evals[key] = record
-            if self.cache is not None and record.get("status", "ok") == "ok":
-                self.cache.put(key, record)
-
 
 def assemble_point(
     gt,
     lt,
     record: dict,
     *,
-    gt_len: int,
-    gt_provenance: int,
-    gt_failure: Optional[str],
-    lt_len: int,
     golden_checked: bool,
     reference: Optional[Dict[str, float]] = None,
 ):
-    """Build a :class:`~repro.explore.DesignPoint` from an eval record.
+    """Build a :class:`~repro.explore.DesignPoint` from an
+    :meth:`IncrementalExplorer.evaluate_prefix` record.
 
-    Shared by the in-process trie (:meth:`IncrementalExplorer._assemble`)
-    and the shard runner, whose records come back from other processes
-    via :meth:`IncrementalExplorer.evaluate_prefix` with the trie-path
-    facts inline — the stamping logic must be one function or the two
+    Shared by the serial sweep (:meth:`IncrementalExplorer.run`) and the
+    shard runner, whose records come back from other processes or from
+    a journal — the stamping logic must be one function or the two
     paths could drift apart on conformance/proof semantics.
     """
     from repro.explore import DesignPoint, failed_point, proof_stamp
 
     if record.get("status", "ok") != "ok":
         return failed_point(gt, lt, str(record.get("error", "unknown failure")))
+    gt_failure = record.get("gt_failure")
     if not golden_checked:
         conformance = "unchecked"
     elif gt_failure is not None:
@@ -660,7 +545,9 @@ def assemble_point(
         conformance = f"failed: {record['local_failure']}"
     else:
         conformance = record["sim_conformance"]
-    certificates = gt_len + lt_len * int(record.get("machines", 0))
+    certificates = record.get("gt_len", 0) + record.get("lt_len", 0) * int(
+        record.get("machines", 0)
+    )
     proved, proof = proof_stamp(conformance, certificates)
     if reference is not None:
         registers = record["registers"]
@@ -682,34 +569,7 @@ def assemble_point(
         conformance=conformance,
         proved=proved,
         proof=proof,
-        provenance_records=gt_provenance + record["lt_provenance"],
+        provenance_records=record.get("gt_provenance", 0) + record["lt_provenance"],
         bottleneck=record["bottleneck"],
     )
 
-
-# ----------------------------------------------------------------------
-# worker-side state: the base CDFG ships once per process (initializer),
-# payloads are (prefix, lt) tuples, and the worker's own trie shares
-# prefix work across every payload it receives
-# ----------------------------------------------------------------------
-_WORKER: Optional[IncrementalExplorer] = None
-
-
-def _init_worker(cdfg: Cdfg, delays, seed, golden, injector=None, timeout=None) -> None:
-    global _WORKER
-    _WORKER = IncrementalExplorer(
-        cdfg,
-        delays=delays,
-        seed=seed,
-        golden=golden,
-        cache=None,
-        workers=None,
-        check_edges=False,
-        fault_injector=injector,
-        point_timeout=timeout,
-    )
-
-
-def _evaluate_shared(payload: Tuple[Tuple[str, ...], Tuple[str, ...]]) -> dict:
-    prefix, lt = payload
-    return _WORKER._guarded_eval(prefix, lt)

@@ -1,17 +1,18 @@
 """Work-stealing shard scheduler for parameter-space exploration.
 
 One :class:`~repro.cache.incremental.IncrementalExplorer` sweeps one
-context (CDFG × delay model × seed) with one process pool.  At
-parameter-space scale (:mod:`repro.cache.space`: many contexts, 10k+
-points) that shape leaves throughput on the table twice: contexts run
-strictly one after another, and within a context the single pool
-serializes behind its slowest point.  The shard runner fixes both:
+context (CDFG × delay model × seed) serially.  At parameter-space
+scale (:mod:`repro.cache.space`: many contexts, 10k+ points) that
+shape leaves throughput on the table twice: contexts run strictly one
+after another, and within a context every point waits for the one
+before it.  The shard runner is the program's one parallel explorer,
+and it fixes both:
 
 - **partitioning** — each context's GT grid is split into shared-prefix
   subtrees (all subsets starting with the same first pass live in one
   trie subtree), chunked into work units of a few points; units keep
   canonical order, and the trie inside each worker still shares prefix
-  work across the unit exactly like the single-pool engine;
+  work across the unit exactly like the serial engine;
 - **shards** — ``--shards N`` independent schedulers, each owning its
   own :class:`~repro.resilience.pool.WorkerPool` (broken pools are
   rebuilt under a :class:`~repro.resilience.pool.RetryPolicy`, then
@@ -50,7 +51,7 @@ serializes behind its slowest point.  The shard runner fixes both:
   and final reports are assembled in canonical space order regardless
   of completion order).
 
-Everything the single-pool engine guarantees still holds per point:
+Everything the serial engine guarantees still holds per point:
 records come from the same ``evaluate_prefix`` path, with the same
 oracle composition, so conformance/proof stamps are bit-identical.
 """
@@ -148,8 +149,6 @@ def _context_explorer(payload) -> IncrementalExplorer:
             seed=NOMINAL if seed_spec == "nominal" else seed_spec,
             golden=golden,
             cache=None,
-            workers=None,
-            check_edges=True,
             fault_injector=injector,
             point_timeout=timeout,
             machine_memo=_MACHINE_MEMO,
@@ -417,7 +416,7 @@ class ShardRunner:
                     continue  # a steal/retry raced us; first result wins
                 self._records[key] = record
                 journal.append(key, record)
-                point = _assemble_record(
+                point = assemble_point(
                     gt, lt, record, golden_checked=self.space.verify
                 )
                 self.frontier.add(point)
@@ -519,7 +518,7 @@ class ShardRunner:
                     )
                     if record is None:
                         continue  # interrupted before this point landed
-                    point = _assemble_record(
+                    point = assemble_point(
                         gt, tuple(lt), record, golden_checked=self.space.verify
                     )
                     points.append(point)
@@ -537,19 +536,6 @@ class _NullJournal:
 
     def close(self) -> None:
         pass
-
-
-def _assemble_record(gt, lt, record: dict, *, golden_checked: bool) -> DesignPoint:
-    return assemble_point(
-        gt,
-        lt,
-        record,
-        gt_len=int(record.get("gt_len", 0)),
-        gt_provenance=int(record.get("gt_provenance", 0)),
-        gt_failure=record.get("gt_failure"),
-        lt_len=int(record.get("lt_len", 0)),
-        golden_checked=golden_checked,
-    )
 
 
 def explore_space(space: ParameterSpace, **options) -> SpaceResult:

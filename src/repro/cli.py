@@ -28,6 +28,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -347,8 +348,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_sweep_tail(result, interrupted: bool) -> int:
+    """The report tail both explore modes share: list failed and
+    non-conformant points, then map the sweep onto its exit code."""
+    from repro.errors import sweep_exit_code
+
+    failed = result.failed_points()
+    if failed:
+        print(f"{len(failed)} FAILED points (excluded from the frontier):")
+        for point in failed:
+            print(f"  {point.label}: {point.error}")
+    bad = [point for point in result.points if point.status == "ok" and not point.conformant]
+    if bad:
+        print(f"{len(bad)} NON-CONFORMANT points:")
+        for point in bad:
+            print(f"  {point.label}: {point.conformance}")
+    if result.points and len(failed) == len(result.points):
+        print("every point failed to evaluate")
+    return sweep_exit_code(
+        interrupted=interrupted,
+        total=len(result.points),
+        failed=len(failed),
+        issues=len(bad),
+    )
+
+
 def _cmd_explore_space(args: argparse.Namespace) -> int:
-    """Sharded parameter-space mode (``--space`` / ``--shards``)."""
+    """Sharded mode (``--space`` / ``--shards`` / ``--workers N``)."""
     from repro.cache.shards import explore_space
     from repro.cache.space import ParameterSpace
     from repro.errors import SpaceError
@@ -368,7 +394,14 @@ def _cmd_explore_space(args: argparse.Namespace) -> int:
 
         injector = parse_inject_spec(args.inject_fail)
     run_dir = args.resume or args.run_dir
-    shards = args.shards or 2
+    if args.shards:
+        shards, workers_per_shard = args.shards, args.workers or 1
+    elif args.workers is not None:
+        # a shard dispatches one unit at a time, so N processes are N
+        # one-process shards (0 = one per CPU)
+        shards, workers_per_shard = args.workers or os.cpu_count() or 1, 1
+    else:
+        shards, workers_per_shard = 2, 1
 
     live = None
     if args.live_frontier:
@@ -392,7 +425,7 @@ def _cmd_explore_space(args: argparse.Namespace) -> int:
         result = explore_space(
             space,
             shards=shards,
-            workers_per_shard=args.workers or 1,
+            workers_per_shard=workers_per_shard,
             run_dir=run_dir,
             resume=args.resume is not None,
             live=live,
@@ -455,33 +488,14 @@ def _cmd_explore_space(args: argparse.Namespace) -> int:
     print(summary)
     for error in result.stats.get("shard_errors", ()):
         print(f"SHARD ERROR: {error}")
-    failed = result.failed_points()
-    if failed:
-        print(f"{len(failed)} FAILED points (excluded from the frontier):")
-        for point in failed:
-            print(f"  {point.label}: {point.error}")
-    bad = [p for p in result.points if p.status == "ok" and not p.conformant]
-    if bad:
-        print(f"{len(bad)} NON-CONFORMANT points:")
-        for point in bad:
-            print(f"  {point.label}: {point.conformance}")
-    from repro.errors import sweep_exit_code
-
-    if result.points and len(failed) == len(result.points):
-        print("every point failed to evaluate")
-    return sweep_exit_code(
-        interrupted=interrupted,
-        total=len(result.points),
-        failed=len(failed),
-        issues=len(bad),
-    )
+    return _report_sweep_tail(result, interrupted)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.cache.store import DEFAULT_CACHE_DIR, ArtifactCache
     from repro.explore import explore_design_space
 
-    if args.space or args.shards or args.resume or args.run_dir:
+    if args.space or args.shards or args.resume or args.run_dir or args.workers not in (None, 1):
         return _cmd_explore_space(args)
     args.workload = _resolve_workload(args)
     cdfg = WORKLOADS[args.workload]()
@@ -496,7 +510,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     try:
         result = explore_design_space(
             cdfg,
-            workers=args.workers,
             cache=cache,
             fault_injector=injector,
             point_timeout=args.timeout,
@@ -574,26 +587,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             f"cache: {stats['hits']} hits, {stats['misses']} misses, "
             f"{stats['entries']} entries in {cache.path}"
         )
-    failed = result.failed_points()
-    if failed:
-        print(f"{len(failed)} FAILED points (excluded from the frontier):")
-        for point in failed:
-            print(f"  {point.label}: {point.error}")
-    bad = [point for point in result.points if point.status == "ok" and not point.conformant]
-    if bad:
-        print(f"{len(bad)} NON-CONFORMANT points:")
-        for point in bad:
-            print(f"  {point.label}: {point.conformance}")
-    from repro.errors import sweep_exit_code
-
-    if result.points and len(failed) == len(result.points):
-        print("every point failed to evaluate")
-    return sweep_exit_code(
-        interrupted=interrupted,
-        total=len(result.points),
-        failed=len(failed),
-        issues=len(bad),
-    )
+    return _report_sweep_tail(result, interrupted)
 
 
 def _compare_and_record(
@@ -631,9 +625,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.serve:
         return _cmd_bench_serve(args)
     bench_name = f"explore_incremental/{args.workload}"
-    result = run_explore_bench(
-        args.workload, workers=args.workers, cache_dir=args.cache_dir
-    )
+    result = run_explore_bench(args.workload, cache_dir=args.cache_dir)
     for key in ("cold", "warm"):
         print(f"{key:>18}: {result[key]:.3f}s")
     print(f"{'speedup_warm':>18}: {result['speedup_warm']}x (cold / warm)")
@@ -1039,30 +1031,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="evaluate points on a process pool (0 = one per CPU; default serial)",
+        help="run N one-process work-stealing shards (0 = one per CPU; "
+        "sharded mode); with --shards, the pool processes per shard; "
+        "default (or 1): the serial sweep",
     )
     explore.add_argument(
         "--cache",
         dest="cache",
         action="store_true",
         default=True,
-        help="persist the artifact cache across runs (the default)",
+        help="persist the artifact cache across runs (the default; "
+        "serial path only)",
     )
     explore.add_argument(
         "--no-cache",
         dest="cache",
         action="store_false",
-        help="skip the on-disk cache (in-process sharing still applies)",
+        help="skip the on-disk cache (in-process sharing still applies; "
+        "serial path only)",
     )
     explore.add_argument(
         "--cache-dir",
         default=None,
-        help="artifact cache location (default .repro-cache/)",
+        help="artifact cache location (default .repro-cache/; serial "
+        "path only)",
     )
     explore.add_argument(
         "--faults",
         action="store_true",
-        help="add a fault-campaign verdict column to the frontier table",
+        help="add a fault-campaign verdict column to the frontier table "
+        "(serial path only)",
     )
     explore.add_argument(
         "--seed",
@@ -1105,7 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run the sweep on N work-stealing shards (each with "
-        "--workers pool processes); default 2 in space mode",
+        "--workers pool processes); default 2, or the --workers "
+        "count when --workers is given",
     )
     explore.add_argument(
         "--run-dir",
@@ -1144,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool width for the cold/warm sweeps (default serial)",
+        help="job-server worker processes for --serve (default 4)",
     )
     bench.add_argument(
         "--compare",

@@ -196,13 +196,11 @@ def explore_design_space(
     delays: Optional[DelayModel] = None,
     seed: int = 9,
     reference: Optional[Dict[str, float]] = None,
-    workers: Optional[int] = None,
     verify: bool = True,
     cache: Optional["ArtifactCache"] = None,
     cache_dir: Optional[str] = None,
     fault_injector=None,
     point_timeout: Optional[float] = None,
-    retries: int = 2,
 ) -> ExplorationResult:
     """Evaluate a grid of transform configurations.
 
@@ -221,11 +219,12 @@ def explore_design_space(
     is bit-identical to an independent per-point evaluation (the test
     suite's oracle).
 
-    ``workers`` > 1 fans the missing evaluations out over a process
-    pool (``workers=0`` means one process per CPU); the CDFG ships once
-    per worker via the pool initializer.  The default (``None`` or 1)
-    evaluates serially; both produce identical points in identical
-    order.
+    The sweep is serial.  For a parallel one, describe the grid as a
+    :class:`~repro.cache.space.ParameterSpace` and run it with
+    :func:`~repro.cache.shards.explore_space` (``repro explore
+    <workload> --workers N`` on the CLI): the shard runner fans the
+    same per-point evaluation out over worker pools, and its points
+    are identical and in the same order.
 
     With ``verify`` (the default) every point is conformance-stamped:
     a nominal token simulation of the untransformed CDFG supplies the
@@ -236,18 +235,16 @@ def explore_design_space(
 
     The sweep is fault-tolerant: a grid point whose evaluation raises
     (or exceeds ``point_timeout`` seconds of wall clock) becomes a
-    ``status="failed"`` point instead of aborting the sweep; a worker
-    process dying rebuilds the pool under a
-    :class:`~repro.resilience.pool.RetryPolicy` of ``retries`` rebuilds
-    before degrading to in-process evaluation; ``KeyboardInterrupt``
-    returns the completed points with ``stats["interrupted"]`` set.
+    ``status="failed"`` point instead of aborting the sweep, and
+    ``KeyboardInterrupt`` returns the completed points with
+    ``stats["interrupted"]`` set.
     ``fault_injector`` (see :mod:`repro.resilience.injection`)
     deterministically fails chosen points — the hook CI uses to prove
     all of the above.  When ``point_timeout`` is set,
     ``stats["watchdog_active"]`` records whether the SIGALRM deadline
-    can actually be armed where the points run (it cannot off the main
-    thread or without ``SIGALRM``; the deadline is then skipped with a
-    one-time warning).
+    can actually be armed (it cannot off the main thread or without
+    ``SIGALRM``; the deadline is then skipped with a one-time
+    warning).
     """
     from repro.cache.incremental import IncrementalExplorer
     from repro.cache.space import default_gt_grid, default_lt_grid
@@ -257,7 +254,7 @@ def explore_design_space(
     if point_timeout:
         from repro.resilience.injection import watchdog_active
 
-        watchdog = watchdog_active(pooled=workers is not None and workers != 1)
+        watchdog = watchdog_active()
 
     store = cache
     if store is None and cache_dir is not None:
@@ -269,10 +266,8 @@ def explore_design_space(
         reference=reference,
         golden=simulate_tokens(cdfg, seed=NOMINAL).registers if verify else None,
         cache=store,
-        workers=workers,
         fault_injector=fault_injector,
         point_timeout=point_timeout,
-        retries=retries,
     )
     result = ExplorationResult(
         points=engine.run(
@@ -292,8 +287,6 @@ def explore_design_space(
         result.stats["watchdog_active"] = watchdog
     if engine.interrupted:
         result.stats["interrupted"] = True
-    if engine.pool_diagnostics is not None:
-        result.stats["pool"] = engine.pool_diagnostics
     failed = len(result.failed_points())
     if failed:
         result.stats["failed"] = failed

@@ -10,8 +10,8 @@ Three concerns, one subsystem:
   delay faults (``repro faults`` on the CLI);
 - :mod:`repro.resilience.pool` / :mod:`repro.resilience.injection` —
   the one crash-tolerant process pool (rebuild with backoff, in-process
-  degradation, joined shutdown) and the sweep map built on it, plus the
-  deterministic failure injectors that exercise them in tests and CI.
+  degradation, joined shutdown), plus the deterministic failure
+  injectors that exercise it in tests and CI.
 """
 
 from repro.resilience.campaign import (
@@ -32,12 +32,7 @@ from repro.resilience.injection import (
     parse_inject_spec,
     point_deadline,
 )
-from repro.resilience.pool import (
-    MapDiagnostics,
-    RetryPolicy,
-    WorkerPool,
-    resilient_map,
-)
+from repro.resilience.pool import RetryPolicy, WorkerPool
 
 __all__ = [
     "ArcSlackEntry",
@@ -49,7 +44,6 @@ __all__ = [
     "FaultTrial",
     "Gt3MonteCarloEntry",
     "InjectedFault",
-    "MapDiagnostics",
     "PointTimeout",
     "RetryPolicy",
     "WorkerPool",
@@ -58,7 +52,6 @@ __all__ = [
     "parse_inject_spec",
     "point_deadline",
     "quick_probe",
-    "resilient_map",
     "run_campaign",
     "unit_slowdown",
 ]

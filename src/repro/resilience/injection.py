@@ -9,8 +9,8 @@ fail on demand:
 - ``mode="raise"`` — the point raises inside the worker; the per-point
   guard converts it into a ``status="failed"`` design point.
 - ``mode="exit"`` — the worker process dies (``os._exit``), breaking
-  the process pool; the resilient map must recover via retry or serial
-  degradation.  With ``once_marker`` set, the crash happens only the
+  the process pool; the shard runner must recover via retry or
+  in-process degradation.  With ``once_marker`` set, the crash happens only the
   first time (a sentinel file records it), modelling a transient
   worker death; without it the crash repeats, and only processes that
   actually are pool workers die — the serial fallback in the parent
@@ -18,9 +18,9 @@ fail on demand:
   ``failed`` instead of killing the sweep.
 
 This module also provides the per-point wall-clock deadline used by
-``explore_design_space(point_timeout=...)``: SIGALRM-based where
-available (worker processes run evaluations on their main thread), a
-no-op elsewhere.
+``explore_design_space(point_timeout=...)`` and the shard runner:
+SIGALRM-based where available (worker processes and the serial sweep
+run evaluations on their main thread), a no-op elsewhere.
 """
 
 from __future__ import annotations
@@ -139,19 +139,10 @@ def watchdog_unavailable_reason() -> Optional[str]:
     return None
 
 
-def watchdog_active(pooled: bool = False) -> bool:
-    """Whether upcoming point deadlines will actually be enforced.
-
-    ``pooled`` evaluations run on the main thread of dedicated worker
-    processes, so only platform ``SIGALRM`` support matters there; a
-    serial sweep arms the timer on the calling thread, which must be
-    the process's main thread.
-    """
-    if not hasattr(signal, "SIGALRM"):
-        return False
-    if pooled:
-        return True
-    return threading.current_thread() is threading.main_thread()
+def watchdog_active() -> bool:
+    """Whether point deadlines armed on the calling thread will actually
+    be enforced."""
+    return watchdog_unavailable_reason() is None
 
 
 @contextmanager

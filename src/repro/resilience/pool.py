@@ -1,4 +1,4 @@
-"""The one crash-tolerant process pool, and the sweep map built on it.
+"""The one crash-tolerant process pool.
 
 One worker dying (OOM kill, segfault in a native extension,
 ``os._exit``) breaks a whole ``ProcessPoolExecutor``: every pending
@@ -17,32 +17,23 @@ executor and the recovery discipline every pool in the program shares:
 3. **Clean shutdown**: a normal shutdown joins the workers, so none
    outlive the call that used them.
 
-Three callers share it: :func:`resilient_map` (the exploration
-engine's fan-out), the shard runner's per-shard pools
-(:mod:`repro.cache.shards`), and the job server's runner
-(:mod:`repro.serve.runner`), which rebuilds without backing off or
-degrading — its dispatcher retries jobs asynchronously instead.  The
-multiprocessing context is the caller's choice; only the server needs
-``forkserver`` (see :class:`~repro.serve.runner.JobRunner`).
-
-:func:`resilient_map` keeps per-payload futures so completed results
-survive a collapse, resubmits only the unfinished payloads, and on
-``KeyboardInterrupt`` returns every completed result, flagged in the
-diagnostics, so the caller can flush caches and print a partial table.
+Two callers share it: the shard runner's per-shard pools
+(:mod:`repro.cache.shards`, the program's one parallel explorer) and
+the job server's runner (:mod:`repro.serve.runner`), which rebuilds
+without backing off or degrading — its dispatcher retries jobs
+asynchronously instead.  The multiprocessing context is the caller's
+choice; only the server needs ``forkserver`` (see
+:class:`~repro.serve.runner.JobRunner`).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
-
-#: distinguishes "never computed" from a legitimate None result
-_UNSET = object()
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -155,64 +146,3 @@ class WorkerPool:
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
 
-
-@dataclass
-class MapDiagnostics:
-    """What the resilient map had to do to finish."""
-
-    broken_pools: int = 0
-    retried_payloads: int = 0
-    degraded_serial: bool = False
-    interrupted: bool = False
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def resilient_map(
-    func: Callable,
-    payloads: Sequence,
-    max_workers: int,
-    initializer: Optional[Callable] = None,
-    initargs: Tuple = (),
-    retries: int = 2,
-) -> Tuple[List, MapDiagnostics]:
-    """Map ``func`` over ``payloads`` on a :class:`WorkerPool`.
-
-    Returns ``(results, diagnostics)`` where ``results`` aligns with
-    ``payloads``; entries never computed (interrupt) are ``None``.
-    ``func`` must catch its own per-payload exceptions.  Up to
-    ``retries`` pool collapses are rebuilt before the unfinished
-    payloads run in-process.
-    """
-    results = [_UNSET] * len(payloads)
-    diagnostics = MapDiagnostics()
-    pool = WorkerPool(
-        min(max_workers, len(payloads)),
-        initializer=initializer,
-        initargs=initargs,
-        policy=RetryPolicy(max_retries=retries),
-    )
-    pending = list(range(len(payloads)))
-    try:
-        while pending and not diagnostics.degraded_serial:
-            futures = {pool.submit(func, payloads[index]): index for index in pending}
-            broken = False
-            for future in as_completed(futures):
-                try:
-                    results[futures[future]] = future.result()
-                except BrokenProcessPool:
-                    broken = True  # every sibling future fails fast too
-            pending = [index for index in pending if results[index] is _UNSET]
-            if broken and pending:
-                diagnostics.retried_payloads += len(pending)
-                diagnostics.degraded_serial = not pool.recover()
-        for index in pending:  # degraded: the rebuild budget is spent
-            results[index] = pool.run_local(func, payloads[index])
-    except KeyboardInterrupt:
-        diagnostics.interrupted = True
-        pool.shutdown(wait=False)
-    finally:
-        pool.shutdown()
-    diagnostics.broken_pools = pool.broken
-    return [None if result is _UNSET else result for result in results], diagnostics

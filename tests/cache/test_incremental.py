@@ -12,7 +12,10 @@ import json
 import pytest
 
 from repro.cache import ArtifactCache
+from repro.cache.incremental import IncrementalExplorer, assemble_point
 from repro.explore import explore_design_space
+from repro.sim.seeding import NOMINAL
+from repro.sim.token_sim import simulate_tokens
 from repro.timing.delays import DelayModel
 from repro.workloads import build_diffeq_cdfg, diffeq_reference
 from tests.per_point import explore_per_point
@@ -54,11 +57,6 @@ class TestIncrementalEquivalence:
         with pytest.raises(KeyError):
             _sweep(diffeq, local_subsets=[("LT9",)])
 
-    def test_parallel_matches_serial(self, diffeq):
-        serial = _sweep(diffeq)
-        parallel = _sweep(diffeq, workers=2)
-        assert parallel.points == serial.points
-
     def test_shares_work_across_grid(self, diffeq):
         result = _sweep(diffeq)
         points = len(GT_SUBSETS) * len(LT_SUBSETS)
@@ -88,6 +86,26 @@ class TestWarmCache:
         assert warm.stats["edges"] == 0
         assert warm.stats["cache"]["hits"] > 0
         assert warm.stats["cache"]["misses"] == 0
+
+    def test_warm_evaluate_prefix_reads_the_cache(self, diffeq, tmp_path):
+        """The shard runner's per-point entry and the serial sweep share
+        one cache path: over a filled cache, every point is a hit."""
+        cold = _sweep(diffeq, cache_dir=str(tmp_path / "cache"))
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        explorer = IncrementalExplorer(
+            diffeq,
+            golden=simulate_tokens(diffeq, seed=NOMINAL).registers,
+            cache=cache,
+        )
+        points = [
+            assemble_point(gt, lt, explorer.evaluate_prefix(gt, lt), golden_checked=True)
+            for gt in GT_SUBSETS
+            for lt in LT_SUBSETS
+        ]
+        assert points == cold.points
+        assert explorer.evaluations_computed == 0
+        assert explorer.edges_applied == 0
+        assert cache.stats()["misses"] == 0
 
     def test_cache_file_round_trips(self, diffeq, tmp_path):
         cold = _sweep(diffeq, cache_dir=str(tmp_path / "cache"))

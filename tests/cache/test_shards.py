@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.cache.incremental import IncrementalExplorer
+from repro.cache.incremental import IncrementalExplorer, assemble_point
 from repro.cache.journal import ResultJournal
-from repro.cache.shards import ShardRunner, _assemble_record, explore_space
+from repro.cache.shards import ShardRunner, explore_space
 from repro.cache.space import ParameterSpace
 from repro.local_transforms.scripts import STANDARD_LOCAL_SEQUENCE
 from repro.resilience.injection import ConfigFaultInjector
@@ -87,14 +87,13 @@ def test_sharded_points_match_the_single_pool_engine(baseline_docs):
         delays=context.delays,
         seed=context.seed,
         golden=context.golden,
-        check_edges=True,
     )
     labels = context.labels()
     expected = []
     for gt in space.gt_subsets:
         for lt in space.lt_subsets:
             record = explorer.evaluate_prefix(gt, tuple(lt))
-            point = _assemble_record(gt, tuple(lt), record, golden_checked=True)
+            point = assemble_point(gt, tuple(lt), record, golden_checked=True)
             expected.append({**point.to_dict(), **labels})
     assert baseline_docs[: len(expected)] == expected
 
@@ -108,7 +107,6 @@ def _context_explorer(context, **kwargs):
         delays=context.delays,
         seed=context.seed,
         golden=context.golden,
-        check_edges=True,
         **kwargs,
     )
 

@@ -1,8 +1,8 @@
-"""Fault-tolerant exploration: crashed workers, bad points, timeouts.
+"""Fault-tolerant serial exploration: bad points, timeouts, interrupts.
 
-The headline acceptance test injects a worker crash into a full
-64-point sweep and checks the result set is still complete, with
-exactly the crashed points marked ``failed``.
+Crashed pool workers are the shard runner's concern: see
+``tests/cache/test_shards.py::test_killed_pool_worker_rebuilds_and_reports``
+and ``::test_persistent_crasher_follows_the_retry_policy``.
 """
 
 import pytest
@@ -16,63 +16,13 @@ SMALL_GTS = [(), ("GT1",), ("GT1", "GT2"), ("GT1", "GT2", "GT3")]
 SMALL_LTS = [(), ("LT4", "LT2", "LT1", "LT5")]
 
 
-def _failed_configs(result):
-    return sorted(
-        (point.global_transforms, point.local_transforms)
-        for point in result.failed_points()
-    )
-
-
-class TestWorkerCrashRecovery:
-    def test_64_point_sweep_survives_a_worker_crash(self, diffeq, tmp_path):
-        """A worker dying mid-sweep must not lose any grid point."""
-        injector = ConfigFaultInjector.for_configs(
-            [("GT1",)], mode="exit", once_marker=str(tmp_path / "crashed")
-        )
-        result = explore_design_space(
-            diffeq,
-            workers=4,
-            fault_injector=injector,
-        )
-        assert len(result.points) == 64
-        failed = result.failed_points()
-        assert len(failed) == 2  # ('GT1',) x {no LTs, all LTs} — nothing else
-        assert all(point.global_transforms == ("GT1",) for point in failed)
-        assert result.stats["pool"]["broken_pools"] >= 1
-        assert result.stats["failed"] == 2
-        ok = [point for point in result.points if point.status == "ok"]
-        assert len(ok) == 62 and all(point.conformant for point in ok)
-
-    def test_persistent_crasher_degrades_to_serial(self, diffeq):
-        # no once-marker: the point kills every worker that touches it,
-        # so the map must give up on pools and finish in-process (where
-        # the injector degrades to a raise and the point comes back failed)
-        injector = ConfigFaultInjector.for_configs([("GT1",)], mode="exit")
-        result = explore_design_space(
-            diffeq,
-            global_subsets=SMALL_GTS,
-            local_subsets=SMALL_LTS,
-            workers=2,
-            retries=1,
-            fault_injector=injector,
-        )
-        assert len(result.points) == len(SMALL_GTS) * len(SMALL_LTS)
-        assert result.stats["pool"]["degraded_serial"] is True
-        assert _failed_configs(result) == [
-            (("GT1",), ()),
-            (("GT1",), ("LT4", "LT2", "LT1", "LT5")),
-        ]
-
-
 class TestInjectedPointFailures:
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_raise_injection_fails_exactly_the_targets(self, diffeq, workers):
+    def test_raise_injection_fails_exactly_the_targets(self, diffeq):
         injector = ConfigFaultInjector.for_configs([("GT1",), ()])
         result = explore_design_space(
             diffeq,
             global_subsets=SMALL_GTS,
             local_subsets=SMALL_LTS,
-            workers=workers,
             fault_injector=injector,
         )
         assert len(result.points) == len(SMALL_GTS) * len(SMALL_LTS)

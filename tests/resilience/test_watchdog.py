@@ -164,9 +164,6 @@ class TestPointDeadlineWatchdog:
         from repro.resilience.injection import watchdog_active
 
         assert watchdog_active() is True
-        # pool workers evaluate on their own main thread, so a pooled
-        # sweep is armed even when the parent checks from elsewhere
-        assert self._run_off_main_thread(lambda: watchdog_active(pooled=True)) is True
         assert self._run_off_main_thread(lambda: watchdog_active()) is False
 
 

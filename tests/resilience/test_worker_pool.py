@@ -9,7 +9,7 @@ import pytest
 import repro.resilience.pool as pool_module
 from repro.cache.shards import explore_space
 from repro.cache.space import ParameterSpace
-from repro.explore import explore_design_space
+from repro.cli import main
 from repro.resilience.pool import RetryPolicy, WorkerPool
 from repro.serve.runner import JobRunner
 
@@ -77,11 +77,11 @@ class TestNoProcessOutlivesItsCall:
         result = explore_space(space, shards=2, parallelism=2)
         assert result.complete and result.stats["effective_shards"] == 2
 
-    def test_pooled_sweep(self, gcd, no_stray_children):
-        result = explore_design_space(
-            gcd, global_subsets=[(), ("GT1",)], local_subsets=[()], workers=2
-        )
-        assert len(result.points) == 2
+    def test_pooled_sweep(self, capsys, no_stray_children):
+        # --workers N is the CLI's sharded route: N one-process shards
+        assert main(["explore", "gcd", "--workers", "2", "--no-cache"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert "of 64 explored points (1 contexts x 64 grid points, 2 shards" in summary
 
     def test_process_job_runner(self, no_stray_children):
         runner = JobRunner(workers=1, executor="process")

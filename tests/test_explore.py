@@ -62,29 +62,6 @@ class TestSweep:
             sweep.best("beauty")
 
 
-class TestParallelSweep:
-    def test_parallel_matches_serial(self, diffeq):
-        """The process-pool path must return the same points (and hence
-        the same Pareto frontier) as the serial path."""
-        subsets = dict(
-            global_subsets=[(), ("GT1", "GT2"), ("GT1", "GT2", "GT3", "GT4", "GT5")],
-            local_subsets=[(), ("LT4", "LT2", "LT1", "LT3", "LT5")],
-            reference=diffeq_reference(),
-        )
-        serial = explore_design_space(diffeq, **subsets)
-        parallel = explore_design_space(diffeq, workers=2, **subsets)
-        assert parallel.points == serial.points
-        assert sorted(p.label for p in parallel.pareto_points()) == sorted(
-            p.label for p in serial.pareto_points()
-        )
-
-    def test_workers_one_is_serial(self, diffeq):
-        result = explore_design_space(
-            diffeq, global_subsets=[()], local_subsets=[()], workers=1
-        )
-        assert len(result.points) == 1
-
-
 class TestConformanceStamp:
     def test_sweep_points_are_stamped(self, sweep):
         for point in sweep.points:

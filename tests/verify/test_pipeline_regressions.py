@@ -210,3 +210,28 @@ class TestGT1LoneWriterSerialization:
         assert not any(
             entry.kind == "lone-write-serialized" for entry in report.provenance
         )
+
+
+# ----------------------------------------------------------------------
+# GT5 under GT1: a known refutation, not yet fixed.  GT1's overlapped
+# iterations put a second token on a merged wire (body2 -> body4)
+# before the first is consumed, and GT5's multiplexing check accepts
+# the merge.  When the static wire-capacity check lands this XPASSes:
+# drop the marker then.
+# ----------------------------------------------------------------------
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: GT5 merges a wire that GT1 double-books "
+    "(refuted: flow[GT5]: occupancy)",
+)
+def test_random_program_584838435_gt1_gt5_is_proved():
+    from repro.cache.space import build_random_program, random_program
+    from repro.explore import explore_design_space
+
+    result = explore_design_space(
+        build_random_program(random_program(584838435)),
+        global_subsets=[("GT1", "GT5")],
+        local_subsets=[()],
+    )
+    (point,) = result.points
+    assert point.proved, point.proof
