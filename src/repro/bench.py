@@ -73,7 +73,7 @@ def record(
     # read-modify-write cycles, and the rename is atomic so a reader can
     # never observe a torn file even if the lock degrades to a no-op
     path.parent.mkdir(parents=True, exist_ok=True)
-    with file_lock(path.with_name(path.name + ".lock")):
+    with file_lock(path):
         data = _load(path)
         data["runs"].append(entry)
         handle = tempfile.NamedTemporaryFile(

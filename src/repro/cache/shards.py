@@ -192,7 +192,6 @@ class ShardRunner:
         self,
         space: ParameterSpace,
         shards: int = 2,
-        workers_per_shard: int = 1,
         run_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
         live: Optional[Callable] = None,
@@ -219,7 +218,6 @@ class ShardRunner:
             except AttributeError:  # non-Linux
                 parallelism = os.cpu_count() or 1
         self.effective_shards = max(1, min(shards, parallelism))
-        self.workers_per_shard = max(1, workers_per_shard)
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.live = live
         self.stop_after = stop_after
@@ -357,7 +355,8 @@ class ShardRunner:
         pool: Optional[WorkerPool] = None
         finished = False
         try:
-            pool = WorkerPool(self.workers_per_shard, policy=self.policy)
+            # one unit is in flight per shard, so one worker per pool
+            pool = WorkerPool(1, policy=self.policy)
             while not self._stop.is_set():
                 unit = self._next_unit(shard, queues)
                 if unit is None:
@@ -481,7 +480,6 @@ class ShardRunner:
             result.stats.update(
                 shards=self.shards,
                 effective_shards=self.effective_shards,
-                workers_per_shard=self.workers_per_shard,
                 contexts=len(contexts),
                 total_points=len(self.space),
                 completed_points=self._completed,

@@ -19,62 +19,29 @@ that was *not* redone.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import tempfile
+import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro import perf
 
-#: lock sidecars this process has touched (cleaned up at normal exit)
-_lock_cleanups = set()
-
-
-def _remove_stale_lock(path: str) -> None:
-    """Unlink a lock sidecar at interpreter exit if nobody holds it.
-
-    Lock files are coordination scratch, not state: leaving them behind
-    litters the repo root (and confuses ``git status``) for no benefit.
-    The non-blocking probe means a sibling process still mid-write
-    keeps its lock untouched.
-    """
-    try:
-        import fcntl
-    except ImportError:
-        return
-    try:
-        handle = open(path, "a+", encoding="utf-8")
-    except OSError:
-        return
-    try:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError:
-        handle.close()
-        return  # another process holds it: not ours to clean
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-    finally:
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            pass
-        handle.close()
-
 
 @contextmanager
-def file_lock(path: Union[str, Path]):
-    """Advisory exclusive lock on a sidecar file (best-effort).
+def file_lock(target: Union[str, Path]):
+    """Advisory exclusive lock guarding writes to ``target`` (best-effort).
 
     Serializes cooperating writers (shards, concurrent benches) around
-    read-merge-rename critical sections.  Degrades to a no-op where
-    ``fcntl`` or the filesystem refuses — the rename itself is still
-    atomic, so an unserialized writer can lose *other* writers' fresh
-    entries but can never produce a torn file.
+    read-merge-rename critical sections by ``flock``-ing a read-only
+    descriptor of ``target``'s directory, so the lock leaves no file
+    behind.  Degrades to a no-op where ``fcntl`` or the filesystem
+    refuses — the rename itself is still atomic, so an unserialized
+    writer can lose *other* writers' fresh entries but can never
+    produce a torn file.
     """
     try:
         import fcntl
@@ -82,22 +49,51 @@ def file_lock(path: Union[str, Path]):
         yield
         return
     try:
-        handle = open(path, "a+", encoding="utf-8")
+        fd = os.open(str(Path(target).parent), os.O_RDONLY)
     except OSError:
         yield
         return
-    if str(path) not in _lock_cleanups:
-        _lock_cleanups.add(str(path))
-        atexit.register(_remove_stale_lock, str(path))
     try:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        fcntl.flock(fd, fcntl.LOCK_EX)
         yield
     finally:
+        os.close(fd)  # closing the descriptor releases the lock
+
+
+def quarantine(
+    path: Path, reason: str, store: str, siblings: Sequence[str] = ()
+) -> Optional[Path]:
+    """Rename a corrupt store file to ``<name>.corrupt-<stamp>[-n]``.
+
+    Each suffix in ``siblings`` (SQLite's ``-wal``/``-shm``) names a
+    companion file that follows the store to the same stamp.  Returns
+    the quarantine path, or ``None`` when the rename failed (read-only
+    directory: the run proceeds cold and the file stays put).  The
+    warning names the kind of ``store`` so operators find every
+    quarantined file the same way.
+    """
+    stamp = time.strftime("%Y%m%dT%H%M%S")
+    target = path.with_name(f"{path.name}.corrupt-{stamp}")
+    counter = 0
+    while target.exists():
+        counter += 1
+        target = path.with_name(f"{path.name}.corrupt-{stamp}-{counter}")
+    try:
+        os.replace(path, target)
+    except OSError:
+        return None
+    for suffix in siblings:
         try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+            os.replace(f"{path}{suffix}", f"{target}{suffix}")
         except OSError:
-            pass
-        handle.close()
+            pass  # absent sibling
+    warnings.warn(
+        f"quarantined corrupt {store} {path} -> {target.name} ({reason})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return target
+
 
 #: default on-disk location (relative to the working directory)
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -147,7 +143,7 @@ class ArtifactCache:
         entries, reason = self._read_entries(path)
         if entries is None:
             if reason is not None:
-                self._quarantine(path, reason)
+                quarantine(path, reason, "artifact cache")
             return 0
         for key, record in entries.items():
             self.memory.setdefault(key, record)
@@ -174,27 +170,6 @@ class ArtifactCache:
             return None, "'entries' is not an object"
         return entries, None
 
-    @staticmethod
-    def _quarantine(path: Path, reason: str) -> None:
-        import time
-        import warnings
-
-        stamp = time.strftime("%Y%m%dT%H%M%S")
-        target = path.with_name(f"{path.name}.corrupt-{stamp}")
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = path.with_name(f"{path.name}.corrupt-{stamp}-{counter}")
-        try:
-            os.replace(path, target)
-        except OSError:
-            return  # cannot rename (read-only dir): cold run, file stays
-        warnings.warn(
-            f"quarantined corrupt artifact cache {path} -> {target.name} ({reason})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
     def save(self, merge: bool = True) -> Optional[Path]:
         """Atomically persist every record; no-op without a directory.
 
@@ -209,7 +184,7 @@ class ArtifactCache:
         if path is None:
             return None
         path.parent.mkdir(parents=True, exist_ok=True)
-        with file_lock(path.with_name(path.name + ".lock")):
+        with file_lock(path):
             entries = dict(self.memory)
             if merge and path.exists():
                 on_disk, __ = self._read_entries(path)

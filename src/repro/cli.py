@@ -395,13 +395,13 @@ def _cmd_explore_space(args: argparse.Namespace) -> int:
         injector = parse_inject_spec(args.inject_fail)
     run_dir = args.resume or args.run_dir
     if args.shards:
-        shards, workers_per_shard = args.shards, args.workers or 1
+        shards = args.shards
     elif args.workers is not None:
         # a shard dispatches one unit at a time, so N processes are N
         # one-process shards (0 = one per CPU)
-        shards, workers_per_shard = args.workers or os.cpu_count() or 1, 1
+        shards = args.workers or os.cpu_count() or 1
     else:
-        shards, workers_per_shard = 2, 1
+        shards = 2
 
     live = None
     if args.live_frontier:
@@ -425,7 +425,6 @@ def _cmd_explore_space(args: argparse.Namespace) -> int:
         result = explore_space(
             space,
             shards=shards,
-            workers_per_shard=workers_per_shard,
             run_dir=run_dir,
             resume=args.resume is not None,
             live=live,
@@ -1027,13 +1026,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     explore = sub.add_parser("explore", help="design-space exploration")
     _add_workload_arguments(explore)
-    explore.add_argument(
+    shard_count = explore.add_mutually_exclusive_group()
+    shard_count.add_argument(
         "--workers",
         type=int,
         default=None,
         help="run N one-process work-stealing shards (0 = one per CPU; "
-        "sharded mode); with --shards, the pool processes per shard; "
-        "default (or 1): the serial sweep",
+        "sharded mode); default (or 1): the serial sweep",
     )
     explore.add_argument(
         "--cache",
@@ -1097,14 +1096,13 @@ def build_parser() -> argparse.ArgumentParser:
         "delay models x seeds x GT/LT grids) instead of one workload's "
         "fixed grid; implies the sharded engine",
     )
-    explore.add_argument(
+    shard_count.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="run the sweep on N work-stealing shards (each with "
-        "--workers pool processes); default 2, or the --workers "
-        "count when --workers is given",
+        help="run the sweep on N work-stealing shards, one worker "
+        "process each; default 2",
     )
     explore.add_argument(
         "--run-dir",

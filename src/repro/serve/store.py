@@ -19,9 +19,15 @@ Invariants the chaos drill pins down:
   result is answered ``DONE`` immediately (``dedup_hits``); one that
   matches a queued/running job *coalesces* onto it — same ``job_id``
   back, one execution for any number of identical submissions.
-- **Quarantine, not crash.**  A database SQLite cannot open is renamed
-  ``.corrupt-<ts>`` (fresh store, loud warning) — the
-  :mod:`repro.cache.sqlstore` semantics.  A corrupt *row* (result or
+- **Contention is not corruption.**  ``database is locked`` while
+  opening is waited out with backoff inside :data:`BUSY_TIMEOUT` and
+  then raised as :class:`sqlite3.OperationalError`; it never renames
+  the live database.
+- **Quarantine, not crash.**  A file SQLite does not recognise as a
+  database is renamed ``.corrupt-<ts>`` together with its ``-wal`` and
+  ``-shm`` siblings (fresh store, loud warning) — the same
+  :func:`~repro.cache.store.quarantine` the JSON mirror uses.  A
+  corrupt *row* (result or
   params text that no longer parses) is healed: the result-cache row
   is deleted, the job is returned to ``SUBMITTED``, and the
   deterministic pipeline recomputes the identical result
@@ -36,7 +42,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache.sqlstore import connect_wal, quarantine_database
+from repro.cache.store import quarantine
+from repro.resilience.pool import RetryPolicy
 from repro.serve.jobs import (
     DONE,
     FAILED,
@@ -68,10 +75,17 @@ CREATE TABLE IF NOT EXISTS jobs (
 CREATE INDEX IF NOT EXISTS jobs_by_key ON jobs (key);
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state);
 CREATE TABLE IF NOT EXISTS results (key TEXT PRIMARY KEY, record TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+CREATE TABLE IF NOT EXISTS counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL)
 """
 
 _FORMAT_VERSION = "1"
+
+#: default wait for SQLite's write lock before giving up
+BUSY_TIMEOUT = 30.0
+
+#: backoff between attempts to open a database another connection has
+#: locked; the attempts stop when the busy timeout is spent
+_BUSY_BACKOFF = RetryPolicy(base_delay=0.01, max_delay=0.5)
 
 #: counters the store maintains transactionally
 COUNTER_NAMES = (
@@ -85,34 +99,87 @@ COUNTER_NAMES = (
 )
 
 
+def _create_schema(conn: sqlite3.Connection) -> None:
+    for statement in _SCHEMA.split(";"):
+        conn.execute(statement)
+    conn.execute(
+        "INSERT OR IGNORE INTO meta (name, value) VALUES ('version', ?)",
+        (_FORMAT_VERSION,),
+    )
+    conn.executemany(
+        "INSERT OR IGNORE INTO counters (name, value) VALUES (?, 0)",
+        [(name,) for name in COUNTER_NAMES],
+    )
+
+
+def _is_busy(exc: sqlite3.OperationalError) -> bool:
+    text = str(exc)
+    return "locked" in text or "busy" in text
+
+
+def connect_wal(path: Path) -> sqlite3.Connection:
+    """Open the job store at ``path`` in WAL mode with crash-safe pragmas.
+
+    ``isolation_level=None`` puts the connection in autocommit mode so
+    transactions are explicit (``BEGIN IMMEDIATE`` ... ``COMMIT``) —
+    the sqlite3 module's implicit transaction management commits at
+    surprising times.  ``synchronous=FULL`` makes every commit durable
+    against process death (the job server's whole premise);
+    ``busy_timeout`` turns writer contention into bounded waiting
+    instead of immediate ``database is locked`` errors.  The schema is
+    created inside ``BEGIN IMMEDIATE``.
+
+    Contention is not corruption.  The ``journal_mode=WAL`` switch can
+    fail with ``database is locked`` without consulting the busy
+    handler, so a locked open is retried with :class:`RetryPolicy`
+    backoff until :data:`BUSY_TIMEOUT` is spent, then re-raised as
+    :class:`sqlite3.OperationalError`.  Only a file SQLite does not
+    recognise as a database is quarantined, with its ``-wal``/``-shm``
+    siblings, and replaced by a fresh store.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT
+    attempt = 0
+    quarantined = False
+    while True:
+        remaining = max(deadline - time.monotonic(), 0.0)
+        conn = sqlite3.connect(str(path), timeout=remaining, isolation_level=None)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=FULL")
+            conn.execute("BEGIN IMMEDIATE")
+            _create_schema(conn)
+            conn.execute("COMMIT")
+            conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
+            return conn
+        except sqlite3.OperationalError as exc:
+            conn.close()
+            if not _is_busy(exc) or time.monotonic() >= deadline:
+                raise
+        except sqlite3.DatabaseError as exc:
+            # move the files aside *before* closing: closing the last
+            # connection deletes the -wal/-shm siblings by name
+            moved = not quarantined and quarantine(
+                path, f"cannot open: {exc}", "job store", ("-wal", "-shm")
+            ) is not None
+            conn.close()
+            if not moved:
+                raise
+            quarantined = True
+            continue
+        except BaseException:
+            conn.close()
+            raise
+        time.sleep(min(_BUSY_BACKOFF.delay(attempt), max(deadline - time.monotonic(), 0.0)))
+        attempt += 1
+
+
 class JobStore:
     """One SQLite database holding jobs, cached results and counters."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._conn = self._open()
-        except sqlite3.DatabaseError as exc:
-            quarantine_database(self.path, f"cannot open: {exc}")
-            self._conn = self._open()
-
-    def _open(self) -> sqlite3.Connection:
-        conn = connect_wal(self.path)
-        try:
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (name, value) VALUES ('version', ?)",
-                (_FORMAT_VERSION,),
-            )
-            conn.executemany(
-                "INSERT OR IGNORE INTO counters (name, value) VALUES (?, 0)",
-                [(name,) for name in COUNTER_NAMES],
-            )
-        except sqlite3.DatabaseError:
-            conn.close()
-            raise
-        return conn
+        self._conn = connect_wal(self.path)
 
     def close(self) -> None:
         try:

@@ -177,6 +177,24 @@ def test_shards_clamp_to_available_parallelism():
     assert ShardRunner(make_space(), shards=2).effective_shards >= 1
 
 
+def test_each_shard_pool_has_one_worker(monkeypatch):
+    """A shard keeps one unit in flight, so its pool is one process wide."""
+    import repro.cache.shards as shards_module
+
+    widths = []
+    real_pool = shards_module.WorkerPool
+
+    def recording_pool(max_workers, **options):
+        widths.append(max_workers)
+        return real_pool(max_workers, **options)
+
+    monkeypatch.setattr(shards_module, "WorkerPool", recording_pool)
+    result = ShardRunner(tiny_space(), shards=2, parallelism=2).run()
+    assert result.complete
+    assert widths == [1, 1]
+    assert "workers_per_shard" not in result.stats
+
+
 def test_units_are_shared_prefix_subtrees_with_scenario_affinity():
     space = make_space()
     runner = ShardRunner(space, shards=2, parallelism=2)

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from repro.cache.store import ArtifactCache
+from repro.cache.store import ArtifactCache, file_lock, quarantine
 
 
 def _write(tmp_path, text):
@@ -80,3 +80,37 @@ class TestQuarantine:
         cache.save()
         fresh = ArtifactCache(str(tmp_path))
         assert fresh.get("k1") == {"makespan": 1.0}
+
+    def test_quarantine_moves_siblings_and_numbers_collisions(self, tmp_path, monkeypatch):
+        """Same-second quarantines get ``-1``, ``-2``...; each named
+        sibling follows its store to the same stamp."""
+        monkeypatch.setattr("repro.cache.store.time.strftime", lambda fmt: "STAMP")
+        store = tmp_path / "jobs.sqlite3"
+        moved = []
+        for round_no in range(2):
+            store.write_text(f"store {round_no}")
+            (tmp_path / "jobs.sqlite3-wal").write_text(f"wal {round_no}")
+            with pytest.warns(RuntimeWarning, match="quarantined corrupt job store"):
+                moved.append(quarantine(store, "test", "job store", ("-wal", "-shm")))
+        first, second = moved
+        assert (first.name, second.name) == (
+            "jobs.sqlite3.corrupt-STAMP", "jobs.sqlite3.corrupt-STAMP-1"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [first.name, first.name + "-wal", second.name, second.name + "-wal"]
+        )
+        assert (tmp_path / (second.name + "-wal")).read_text() == "wal 1"
+
+    def test_quarantine_of_a_missing_file_renames_nothing(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quarantine(tmp_path / "absent.json", "test", "artifact cache") is None
+        assert not list(tmp_path.iterdir())
+
+
+class TestFileLock:
+    def test_lock_without_a_directory_degrades_to_no_op(self, tmp_path):
+        target = tmp_path / "missing" / "explore.json"
+        with file_lock(target):
+            pass
+        assert not target.parent.exists()

@@ -495,6 +495,12 @@ class TestExploreSpaceCli:
         assert "2 shards" in out
         assert "(partial sweep)" in out
 
+    def test_shards_and_workers_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "gcd", "--shards", "2", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_bad_space_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
