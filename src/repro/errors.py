@@ -173,6 +173,16 @@ class JobError(ReproError):
     """
 
 
+class StoreVersionError(ReproError):
+    """A durable store was written in a format this version does not know.
+
+    Raised by :class:`repro.serve.store.JobStore` when the store's
+    ``meta.version`` differs from the format it writes.  The store is
+    not corrupt, so it is left exactly as it is (never quarantined):
+    open it with the version of the program that wrote it.
+    """
+
+
 # ----------------------------------------------------------------------
 # Exit-code taxonomy
 # ----------------------------------------------------------------------

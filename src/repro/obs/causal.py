@@ -2,8 +2,8 @@
 
 Both simulators run on :class:`~repro.sim.kernel.EventKernel`.  When a
 kernel carries an :class:`EventTrace`, every ``schedule()`` call is
-recorded as a :class:`CausalEvent` whose *parent* is the event during
-whose callback it was scheduled — i.e. the event that *enabled* it
+recorded as a causal event whose *parent* is the event during whose
+callback it was scheduled — i.e. the event that *enabled* it
 (in the token simulator the completion that delivered the last missing
 token; in the AFSM simulator the burst that triggered the datapath
 element or controller step).  Each event also keeps the exact ``delay``
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass
 class CausalEvent:
-    """One scheduled kernel callback."""
+    """One scheduled kernel callback (a view built on demand)."""
 
     uid: int  # the kernel's scheduling sequence number
     at: float  # simulation time of the scheduling call
@@ -57,69 +57,108 @@ class CausalEvent:
 
 
 class EventTrace:
-    """Recorder attached to an :class:`~repro.sim.kernel.EventKernel`."""
+    """Recorder attached to an :class:`~repro.sim.kernel.EventKernel`.
+
+    A traced run schedules hundreds of thousands of events and the
+    queries below read a few hundred of them, so the recorder keeps
+    parallel arrays indexed by uid (parent, start, delay, label) plus
+    the uids in execution order, and builds a :class:`CausalEvent` only
+    for an event a query returns.  Uids are the kernel's scheduling
+    sequence numbers: ``0, 1, 2, ...`` in scheduling order.
+    """
 
     def __init__(self) -> None:
-        self.events: Dict[int, CausalEvent] = {}
         self.current: Optional[int] = None  # uid of the executing event
-        self._order = 0
-        #: execution-order list, maintained incrementally: each uid
-        #: executes at most once, so appending in :meth:`on_execute`
-        #: keeps this permanently sorted by ``order`` and every query
-        #: below reads it instead of re-sorting the full event dict
-        self._executed: List[CausalEvent] = []
+        self._parent: List[Optional[int]] = []
+        self._at: List[float] = []
+        self._delay: List[float] = []
+        self._label: List[Optional[str]] = []
+        #: uids in execution order (each uid executes at most once)
+        self._executed: List[int] = []
+        #: uid -> execution order, extended lazily from ``_executed``
+        self._order: Dict[int, int] = {}
+        #: events built so far, so repeated queries return the same objects
+        self._views: Dict[int, CausalEvent] = {}
 
     # called by the kernel -------------------------------------------------
     def on_schedule(self, uid: int, at: float, delay: float, label: Optional[str]) -> None:
-        self.events[uid] = CausalEvent(
-            uid=uid, at=at, delay=delay, time=at + delay, parent=self.current, label=label
-        )
+        # uid is the kernel's sequence number, i.e. the arrays' length
+        self._parent.append(self.current)
+        self._at.append(at)
+        self._delay.append(delay)
+        self._label.append(label)
 
     def on_execute(self, uid: int) -> None:
-        event = self.events[uid]
-        event.order = self._order
-        self._order += 1
+        self._executed.append(uid)
         self.current = uid
-        self._executed.append(event)
+
+    # views ----------------------------------------------------------------
+    def _event(self, uid: int) -> CausalEvent:
+        order = self._order
+        for position in range(len(order), len(self._executed)):
+            order[self._executed[position]] = position
+        event = self._views.get(uid)
+        if event is None:
+            at = self._at[uid]
+            delay = self._delay[uid]
+            event = self._views[uid] = CausalEvent(
+                uid=uid,
+                at=at,
+                delay=delay,
+                time=at + delay,
+                parent=self._parent[uid],
+                label=self._label[uid],
+            )
+        event.order = order.get(uid, -1)
+        return event
+
+    @property
+    def events(self) -> Dict[int, CausalEvent]:
+        """Every scheduled event by uid (builds every view: debugging only)."""
+        return {uid: self._event(uid) for uid in range(len(self._parent))}
+
+    def _path(self, uid: Optional[int]) -> List[int]:
+        """Uids of the parent chain root -> ``uid`` (default: the last
+        executed event)."""
+        if uid is None:
+            if not self._executed:
+                return []
+            uid = self._executed[-1]
+        parents = self._parent
+        path: List[int] = []
+        cursor: Optional[int] = uid
+        while cursor is not None:
+            path.append(cursor)
+            cursor = parents[cursor]
+        path.reverse()
+        return path
 
     # queries --------------------------------------------------------------
     def executed(self) -> List[CausalEvent]:
         """Events whose callback actually ran, in execution order."""
-        return list(self._executed)
+        return [self._event(uid) for uid in self._executed]
 
     def last_event(self) -> Optional[CausalEvent]:
         """The final executed event — the one that set the kernel's end time."""
         if not self._executed:
             return None
-        return self._executed[-1]
+        return self._event(self._executed[-1])
 
     def chain(self, uid: Optional[int] = None) -> List[CausalEvent]:
         """Parent chain root -> ``uid`` (default: the last executed event)."""
-        if uid is None:
-            last = self.last_event()
-            if last is None:
-                return []
-            uid = last.uid
-        path: List[CausalEvent] = []
-        cursor: Optional[int] = uid
-        while cursor is not None:
-            event = self.events[cursor]
-            path.append(event)
-            cursor = event.parent
-        path.reverse()
-        return path
+        return [self._event(cursor) for cursor in self._path(uid)]
 
     def to_dicts(self) -> List[Dict[str, object]]:
         return [
             {
-                "uid": event.uid,
-                "time": event.time,
-                "delay": event.delay,
-                "parent": event.parent,
-                "label": event.label,
-                "order": event.order,
+                "uid": uid,
+                "time": self._at[uid] + self._delay[uid],
+                "delay": self._delay[uid],
+                "parent": self._parent[uid],
+                "label": self._label[uid],
+                "order": order,
             }
-            for event in self.executed()
+            for order, uid in enumerate(self._executed)
         ]
 
 
@@ -148,17 +187,20 @@ def critical_path(
     :func:`path_delay_sum` over the filtered path still reproduces the
     terminal event's time.
     """
-    segments = [
-        Segment(
-            label=event.label or "(unlabeled)",
-            start=event.at,
-            end=event.time,
-            delay=event.delay,
-        )
-        for event in trace.chain(end_uid)
-    ]
-    if not include_zero:
-        segments = [segment for segment in segments if segment.delay > 0.0]
+    at, delays, labels = trace._at, trace._delay, trace._label
+    segments = []
+    for uid in trace._path(end_uid):
+        delay = delays[uid]
+        if include_zero or delay > 0.0:
+            start = at[uid]
+            segments.append(
+                Segment(
+                    label=labels[uid] or "(unlabeled)",
+                    start=start,
+                    end=start + delay,
+                    delay=delay,
+                )
+            )
     return segments
 
 
@@ -184,31 +226,35 @@ def slack_by_label(trace: EventTrace, end_time: Optional[float] = None) -> Dict[
     the event and everything it (transitively) enabled; a label's slack
     is the minimum over its events.  Critical-path labels get ``0.0``.
     """
-    executed = trace.executed()
+    executed = trace._executed
     if not executed:
         return {}
+    at, delays, parents, labels = trace._at, trace._delay, trace._parent, trace._label
     if end_time is None:
-        end_time = max(event.time for event in executed)
-    # children scheduled after parents => parent.uid < child.uid, so a
+        end_time = max(at[uid] + delays[uid] for uid in executed)
+    # children scheduled after parents => parent uid < child uid, so a
     # single descending sweep sees every child before its parent
     latest: Dict[int, float] = {}
-    for event in sorted(executed, key=lambda event: event.uid, reverse=True):
-        down = latest.get(event.uid, event.time)
-        latest[event.uid] = down
-        if event.parent is not None:
-            parent_down = latest.get(event.parent)
+    for uid in sorted(executed, reverse=True):
+        down = latest.get(uid)
+        if down is None:
+            down = latest[uid] = at[uid] + delays[uid]
+        parent = parents[uid]
+        if parent is not None:
+            parent_down = latest.get(parent)
             if parent_down is None or down > parent_down:
-                latest[event.parent] = down
+                latest[parent] = down
     slack: Dict[str, float] = {}
-    for event in executed:
-        if event.label is None:
+    for uid in executed:
+        label = labels[uid]
+        if label is None:
             continue
-        value = end_time - latest[event.uid]
+        value = end_time - latest[uid]
         if value < 0.0:
             value = 0.0  # stragglers past a token-sim END are not "negative slack"
-        current = slack.get(event.label)
+        current = slack.get(label)
         if current is None or value < current:
-            slack[event.label] = value
+            slack[label] = value
     return slack
 
 

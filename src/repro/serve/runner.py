@@ -99,6 +99,8 @@ class JobRunner:
     def shutdown(self, wait: bool = True) -> None:
         if self.executor_kind == "process":
             self._pool.shutdown(wait=wait)
+            if wait:
+                _stop_helper_processes()
         else:
             self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
@@ -140,3 +142,21 @@ class JobRunner:
             "workers": self.workers,
             "rebuilds": self.rebuilds,
         }
+
+
+def _stop_helper_processes() -> None:
+    """Stop and reap the forkserver, then the resource tracker.
+
+    Both outlive their pool: without this, a server that exits leaves
+    them behind, reparented to init, running or unreaped.  Call it only
+    after the pool is joined.  The resource tracker goes last: the
+    forkserver and every worker hold its pipe, and it exits only once
+    that pipe is closed everywhere.  Either helper restarts on demand
+    if a later pool needs it.
+    """
+    from multiprocessing import forkserver, resource_tracker
+
+    for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
+        stop = getattr(helper, "_stop", None)
+        if stop is not None:
+            stop()

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.store import quarantine
+from repro.errors import StoreVersionError
 from repro.resilience.pool import RetryPolicy
 from repro.serve.jobs import (
     DONE,
@@ -112,6 +113,16 @@ def _create_schema(conn: sqlite3.Connection) -> None:
     )
 
 
+def _check_version(conn: sqlite3.Connection, path: Path) -> None:
+    """Refuse a store written in a format this version does not know."""
+    (version,) = conn.execute("SELECT value FROM meta WHERE name = 'version'").fetchone()
+    if version != _FORMAT_VERSION:
+        raise StoreVersionError(
+            f"job store {path} has format version {version!r}; "
+            f"this version reads only {_FORMAT_VERSION!r}"
+        )
+
+
 def _is_busy(exc: sqlite3.OperationalError) -> bool:
     text = str(exc)
     return "locked" in text or "busy" in text
@@ -135,7 +146,9 @@ def connect_wal(path: Path) -> sqlite3.Connection:
     backoff until :data:`BUSY_TIMEOUT` is spent, then re-raised as
     :class:`sqlite3.OperationalError`.  Only a file SQLite does not
     recognise as a database is quarantined, with its ``-wal``/``-shm``
-    siblings, and replaced by a fresh store.
+    siblings, and replaced by a fresh store.  A database whose
+    ``meta.version`` is not this version's format raises
+    :class:`~repro.errors.StoreVersionError` and is left untouched.
     """
     deadline = time.monotonic() + BUSY_TIMEOUT
     attempt = 0
@@ -148,6 +161,7 @@ def connect_wal(path: Path) -> sqlite3.Connection:
             conn.execute("PRAGMA synchronous=FULL")
             conn.execute("BEGIN IMMEDIATE")
             _create_schema(conn)
+            _check_version(conn, path)
             conn.execute("COMMIT")
             conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
             return conn

@@ -17,7 +17,8 @@ transitions whose input bursts are satisfied:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.afsm.machine import BurstModeMachine, Transition
 from repro.afsm.signals import SignalKind
@@ -87,6 +88,70 @@ class GlobalWire:
         return self.pending[(fu, True)] + self.pending[(fu, False)]
 
 
+#: kinds of a compiled step's input checks (_WIRE, _ACK) and output
+#: effects (_EMIT, _REQUEST, _RELEASE); _BAD marks a signal of a kind
+#: that cannot appear there, reported when the step reaches it
+_WIRE, _ACK, _EMIT, _REQUEST, _RELEASE, _BAD = range(6)
+
+
+class _Step:
+    """One transition compiled against a runtime's wires and acks.
+
+    Everything the per-poke check and the firing need is resolved once:
+    condition registers, each compulsory edge as a wire counter or an
+    ack level (in burst order), the wire events the firing consumes,
+    the effects of the output burst and the trace label.
+    """
+
+    __slots__ = ("dst", "burst", "label", "conditions", "checks", "consumes", "effects", "fire")
+
+    def __init__(self, runtime: "ControllerRuntime", transition: Transition):
+        machine = runtime.machine
+        fu = runtime.fu
+        self.dst = transition.dst
+        self.burst = transition.input_burst
+        fragment = transition.tags.get("node") or f"{transition.src}->{transition.dst}"
+        self.label = f"ctrl:{fu}:{fragment}"
+        conditions = []
+        for cond in transition.input_burst.conditions:
+            signal = machine.signal(cond.signal)
+            assert signal.action is not None and signal.action[0] == "cond"
+            conditions.append((signal.action[1], cond.high))
+        self.conditions = tuple(conditions)
+        checks = []
+        for edge in transition.input_burst.compulsory_edges:
+            kind = machine.signal(edge.signal).kind
+            if kind is SignalKind.GLOBAL_READY:
+                checks.append((_WIRE, runtime.wires[edge.signal].pending, (fu, edge.rising)))
+            elif kind is SignalKind.LOCAL_ACK:
+                checks.append((_ACK, edge.signal, 1 if edge.rising else 0))
+            else:
+                checks.append((_BAD, edge.signal, None))
+        self.checks = tuple(checks)
+        self.consumes = tuple(
+            (runtime.wires[edge.signal], edge.rising, edge.ddc)
+            for edge in transition.input_burst.edges
+            if machine.signal(edge.signal).kind is SignalKind.GLOBAL_READY
+        )
+        effects = []
+        for edge in transition.output_burst.edges:
+            signal = machine.signal(edge.signal)
+            if signal.kind is SignalKind.GLOBAL_READY:
+                effects.append((_EMIT, runtime.wires[edge.signal], edge.rising))
+            elif signal.kind is SignalKind.LOCAL_REQ:
+                assert signal.action is not None
+                ack = signal.partner
+                if ack is not None and ack in runtime.ack_levels:
+                    complete = partial(runtime._acknowledge, ack, 1 if edge.rising else 0)
+                else:
+                    complete = runtime.poke
+                effects.append((_REQUEST if edge.rising else _RELEASE, signal.action, complete))
+            else:
+                effects.append((_BAD, edge.signal, None))
+        self.effects = tuple(effects)
+        self.fire = partial(runtime._fire, self)
+
+
 @dataclass
 class ControllerRuntime:
     """One controller's dynamic state."""
@@ -101,107 +166,93 @@ class ControllerRuntime:
     state: str = ""
     busy: bool = False
     transitions_taken: int = 0
-    #: per-state snapshot of ``machine.transitions_from`` — the machine
-    #: is frozen for the lifetime of a simulation, and re-sorting the
-    #: transition list on every poke dominated the kernel profile
-    _transitions: Dict[str, tuple] = field(default_factory=dict, repr=False)
+    #: per-state compiled transitions, in ``machine.transitions_from``
+    #: order.  The machine is frozen for the lifetime of a simulation,
+    #: so each state is compiled on its first visit; resolving every
+    #: edge through ``machine.signal()`` on every poke dominated the
+    #: kernel profile
+    _steps: Dict[str, Tuple[_Step, ...]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.state = self.machine.initial_state
         for signal in self.machine.signals():
             if signal.kind is SignalKind.LOCAL_ACK:
                 self.ack_levels[signal.name] = 0
+        self._poke_label = f"poke:{self.fu}"
 
     # ------------------------------------------------------------------
     def poke(self) -> None:
         """Schedule an enablement check (called on any input change)."""
-        self.kernel.schedule(0.0, self._step, label=f"poke:{self.fu}")
+        self.kernel.schedule(0.0, self._step, label=self._poke_label)
+
+    def _compiled(self, state: str) -> Tuple[_Step, ...]:
+        steps = self._steps.get(state)
+        if steps is None:
+            steps = self._steps[state] = tuple(
+                _Step(self, transition) for transition in self.machine.transitions_from(state)
+            )
+        return steps
 
     def _step(self) -> None:
         if self.busy:
             return
-        transitions = self._transitions.get(self.state)
-        if transitions is None:
-            transitions = tuple(self.machine.transitions_from(self.state))
-            self._transitions[self.state] = transitions
-        enabled = [t for t in transitions if self._satisfied(t)]
+        enabled = [step for step in self._compiled(self.state) if self._satisfied(step)]
         if not enabled:
             return
         if len(enabled) > 1:
             raise SimulationError(
                 f"{self.fu}: nondeterministic choice in state {self.state}: "
-                + " | ".join(str(t.input_burst) for t in enabled)
+                + " | ".join(str(step.burst) for step in enabled)
             )
-        transition = enabled[0]
+        step = enabled[0]
         self.busy = True
-        fragment = transition.tags.get("node") or f"{transition.src}->{transition.dst}"
-        self.kernel.schedule(
-            CONTROL_DELAY,
-            lambda: self._fire(transition),
-            label=f"ctrl:{self.fu}:{fragment}",
-        )
+        self.kernel.schedule(CONTROL_DELAY, step.fire, label=step.label)
 
-    def _satisfied(self, transition: Transition) -> bool:
-        for cond in transition.input_burst.conditions:
-            signal = self.machine.signal(cond.signal)
-            assert signal.action is not None and signal.action[0] == "cond"
-            if self.datapath.condition_level(signal.action[1]) != cond.high:
+    def _satisfied(self, step: _Step) -> bool:
+        for register, high in step.conditions:
+            if self.datapath.condition_level(register) != high:
                 return False
-        for edge in transition.input_burst.compulsory_edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                if not self.wires[edge.signal].available(self.fu, edge.rising):
+        for kind, target, expected in step.checks:
+            if kind == _WIRE:
+                if target[expected] < 1:
                     return False
-            elif signal.kind is SignalKind.LOCAL_ACK:
-                expected = 1 if edge.rising else 0
-                if self.ack_levels[edge.signal] != expected:
+            elif kind == _ACK:
+                if self.ack_levels[target] != expected:
                     return False
             else:
-                raise SimulationError(f"{self.fu}: unexpected input {edge.signal}")
+                raise SimulationError(f"{self.fu}: unexpected input {target}")
         return True
 
-    def _fire(self, transition: Transition) -> None:
+    def _fire(self, step: _Step) -> None:
         self.busy = False
-        if not self._satisfied(transition):
+        if not self._satisfied(step):
             # inputs changed during the control delay; re-evaluate
             self.poke()
             return
-        for edge in transition.input_burst.edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                if edge.ddc:
-                    self.wires[edge.signal].consume_ddc(self.fu, edge.rising)
-                else:
-                    self.wires[edge.signal].consume(self.fu, edge.rising)
-        self.state = transition.dst
+        for wire, rising, ddc in step.consumes:
+            if ddc:
+                wire.consume_ddc(self.fu, rising)
+            else:
+                wire.consume(self.fu, rising)
+        self.state = step.dst
         self.transitions_taken += 1
-        for edge in transition.output_burst.edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                self.wires[edge.signal].emit(self.kernel.now, edge.rising)
+        for kind, target, argument in step.effects:
+            if kind == _EMIT:
+                target.emit(self.kernel.now, argument)
                 if self.poke_all is not None:
                     self.poke_all()  # wake the receivers
-            elif signal.kind is SignalKind.LOCAL_REQ:
-                self._drive_request(signal.name, edge.rising)
+            elif kind == _REQUEST:
+                self.datapath.request(target, argument)
+            elif kind == _RELEASE:
+                self.datapath.release(target, argument)
             else:
-                raise SimulationError(f"{self.fu}: cannot drive {edge.signal}")
+                raise SimulationError(f"{self.fu}: cannot drive {target}")
         self.poke()
 
-    def _drive_request(self, req: str, rising: bool) -> None:
-        signal = self.machine.signal(req)
-        assert signal.action is not None
-
-        ack = signal.partner
-
-        def complete() -> None:
-            if ack is not None and ack in self.ack_levels:
-                self.ack_levels[ack] = 1 if rising else 0
-            self.poke()
-
-        if rising:
-            self.datapath.request(signal.action, complete)
-        else:
-            self.datapath.release(signal.action, complete)
+    def _acknowledge(self, ack: str, level: int) -> None:
+        """A datapath element settled: drive its ack, re-check inputs."""
+        self.ack_levels[ack] = level
+        self.poke()
 
     #: injected by the system: wakes every controller after an emission
     poke_all: Optional[Callable[[], None]] = None

@@ -43,6 +43,20 @@ MUX_DELAY = 0.3
 LATCH_DELAY = 0.5
 
 
+def _action_label(action: tuple) -> Optional[str]:
+    """Trace label of a datapath action (None for an unknown kind)."""
+    kind = action[0]
+    if kind == "src_mux":
+        return f"dp:mux:{action[1]}.{action[2]}"
+    if kind == "fu_go":
+        return f"dp:fu:{action[1]}:{action[2]}"
+    if kind == "reg_mux":
+        return f"dp:mux:{action[1]}"
+    if kind == "latch":
+        return f"dp:latch:{action[1]}"
+    return None
+
+
 @dataclass
 class _Flight:
     """An in-progress datapath action (between req+ and completion)."""
@@ -82,6 +96,10 @@ class Datapath:
         #: latch capture — the system-level write streams compared by
         #: the flow-equivalence checker (:mod:`repro.verify.flow`)
         self.writes: List[Tuple[str, float]] = []
+        #: action -> trace label (and release-kind -> label), formatted
+        #: once per run instead of once per request
+        self._labels: Dict[tuple, Optional[str]] = {}
+        self._release_labels: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def _delay(self, low: float, high: float) -> float:
@@ -125,7 +143,11 @@ class Datapath:
 
             for sub in sub_actions:
                 self.request(sub, one_done)
-        elif kind == "src_mux":
+            return
+        label = self._labels.get(action)
+        if label is None:
+            label = self._labels[action] = _action_label(action)
+        if kind == "src_mux":
             __, fu, port, source = action
             delay = self._delay(MUX_DELAY, MUX_DELAY * 1.5)
             key = ("fu_port", (fu, port))
@@ -135,7 +157,7 @@ class Datapath:
                 self.fu_ports[(fu, port)] = source
                 on_complete()
 
-            self.kernel.schedule(delay, settle, label=f"dp:mux:{fu}.{port}")
+            self.kernel.schedule(delay, settle, label=label)
         elif kind == "fu_go":
             __, fu, operator = action
             low, high = self.delays.operator_interval(fu, operator)
@@ -149,7 +171,7 @@ class Datapath:
                 self.fu_outputs[fu] = _apply(operator, left, right)
                 on_complete()
 
-            self.kernel.schedule(delay, compute, label=f"dp:fu:{fu}:{operator}")
+            self.kernel.schedule(delay, compute, label=label)
         elif kind == "reg_mux":
             __, register, source = action
             delay = self._delay(MUX_DELAY, MUX_DELAY * 1.5)
@@ -160,7 +182,7 @@ class Datapath:
                 self.reg_muxes[register] = source
                 on_complete()
 
-            self.kernel.schedule(delay, settle, label=f"dp:mux:{register}")
+            self.kernel.schedule(delay, settle, label=label)
         elif kind == "latch":
             (__, register) = action
             if register in self._input_names:
@@ -177,13 +199,17 @@ class Datapath:
                 self.writes.append((register, value))
                 on_complete()
 
-            self.kernel.schedule(delay, capture, label=f"dp:latch:{register}")
+            self.kernel.schedule(delay, capture, label=label)
         else:
             raise SimulationError(f"unknown datapath action {action!r}")
 
     def release(self, action: tuple, on_complete: Callable[[], None]) -> None:
         """Handle a req- edge: the element returns to idle."""
-        self.kernel.schedule(0.1, on_complete, label=f"dp:release:{action[0]}")
+        kind = action[0]
+        label = self._release_labels.get(kind)
+        if label is None:
+            label = self._release_labels[kind] = f"dp:release:{kind}"
+        self.kernel.schedule(0.1, on_complete, label=label)
 
     def _check_mux_settled(self, key: Tuple[str, object], what: str) -> None:
         settling_until = self._mux_flights.get(key)

@@ -21,8 +21,8 @@ repeating in the window.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -58,10 +58,12 @@ class EventKernel:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback, label))
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        now = self.now
+        heappush(self._queue, (now + delay, sequence, callback, label))
         if self.trace is not None:
-            self.trace.on_schedule(self._sequence, self.now, delay, label)
-        self._sequence += 1
+            self.trace.on_schedule(sequence, now, delay, label)
 
     def pending(self) -> int:
         return len(self._queue)
@@ -73,23 +75,26 @@ class EventKernel:
         successive ``run()`` calls each get the full budget, while
         ``events_processed`` keeps the cumulative total for reporting.
         """
+        queue = self._queue
+        trace = self.trace
+        remember = self.recent_labels.append
         processed = 0
-        while self._queue:
+        while queue:
             if processed >= max_events:
                 recent = ", ".join(self.recent_labels) or "(no labeled events)"
                 raise SimulationError(
                     f"simulation exceeded {max_events} events "
                     f"(livelock or runaway loop?) at t={self.now:.3f} "
-                    f"with {len(self._queue)} events still pending; "
+                    f"with {len(queue)} events still pending; "
                     f"last executed: {recent}"
                 )
-            time, sequence, callback, label = heapq.heappop(self._queue)
+            time, sequence, callback, label = heappop(queue)
             self.now = time
             processed += 1
             self.events_processed += 1
             if label is not None:
-                self.recent_labels.append(label)
-            if self.trace is not None:
-                self.trace.on_execute(sequence)
+                remember(label)
+            if trace is not None:
+                trace.on_execute(sequence)
             callback()
         return self.now

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import perf
 from repro.cdfg.arc import Arc
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
@@ -106,8 +107,6 @@ def compute_arrival_times(
     Results are memoized in the graph's analysis cache (invalidated on
     any mutation), keyed by ``unfold`` and the delay model fingerprint.
     """
-    from repro import perf
-
     delays = delays or DelayModel()
     if not perf.caching_enabled():
         return _compute_arrival_times(cdfg, delays, unfold)
@@ -249,8 +248,6 @@ def _anchored_longest_paths(
     on the graph, the context and the delay model, so they are cached
     in the graph's analysis cache and shared across all those probes.
     """
-    from repro import perf
-
     if not perf.caching_enabled():
         return _compute_anchored_longest_paths(cdfg, delays, loop, use_max)
     cache = cdfg.analysis_cache()

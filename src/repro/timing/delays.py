@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro import perf
 from repro.cdfg.node import Node
 from repro.errors import TimingError
 
@@ -77,8 +78,6 @@ class DelayModel:
         memoized per node (nodes are frozen dataclasses); bypassed when
         :func:`repro.perf.caching_enabled` is off.
         """
-        from repro import perf
-
         if perf.caching_enabled():
             cached = self._interval_cache.get(node)
             if cached is None:

@@ -6,6 +6,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import perf
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.validate import check_well_formed
 from repro.errors import TransformError
@@ -105,8 +106,6 @@ class PassManager:
         every action, and the manager appends a ``pass-summary`` record
         with the aggregate counts.
         """
-        from repro import perf
-
         working = cdfg.copy()
         reports: List[TransformReport] = []
         for transform in transforms:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import perf
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.errors import TransformError
@@ -56,8 +57,6 @@ def cached_unfolded_reach(cdfg: Cdfg, unfold: int = 2) -> "UnfoldedReach":
     Falls back to a fresh instance when caching is globally disabled
     (:func:`repro.perf.caching_enabled`).
     """
-    from repro import perf
-
     if not perf.caching_enabled():
         return UnfoldedReach(cdfg, unfold=unfold)
     cache = cdfg.analysis_cache()

@@ -66,15 +66,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro import perf
 from repro.afsm.machine import BurstModeMachine
 from repro.afsm.signals import SignalKind
+from repro.cache.fingerprint import fingerprint_cdfg
 from repro.cdfg.arc import Arc, ArcRole, ArcTag
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.errors import FlowRefutedError
 from repro.local_transforms.base import LocalReport
 from repro.obs.spans import span
-from repro.sim.seeding import NOMINAL
+from repro.sim.seeding import NOMINAL, SeedLike
 from repro.sim.token_sim import simulate_tokens
 from repro.timing.analysis import relative_arc_dominates
 from repro.timing.delays import DelayModel
@@ -93,6 +95,93 @@ SCHEMA_REPORT = "flow-report/v1"
 #: counterexample schedule, plus this many sampled seeds
 _STRESS_INTERVALS = ((9.0, 9.0), (0.05, 0.05))
 _COUNTEREXAMPLE_SEEDS = 8
+
+
+# ----------------------------------------------------------------------
+# content-keyed token simulations
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TokenRun:
+    """The parts of one token simulation the GT proofs read, frozen so
+    a memoized run can be handed to any number of callers."""
+
+    writes: Tuple[Tuple[str, float], ...]
+    violations: Tuple[str, ...]
+
+    def write_streams(self) -> Dict[str, List[float]]:
+        """Per-variable value streams, in write order (a fresh dict)."""
+        streams: Dict[str, List[float]] = {}
+        for dest, value in self.writes:
+            streams.setdefault(dest, []).append(value)
+        return streams
+
+
+def _content_fingerprint(cdfg: Cdfg) -> str:
+    """``fingerprint_cdfg``, computed at most once per graph generation.
+
+    The register values are not part of the generation count, so the
+    memo entry also records them and is recomputed when they change.
+    """
+    values = (tuple(cdfg.inputs.items()), tuple(cdfg.initial_registers.items()))
+    cache = cdfg.analysis_cache()
+    entry = cache.get(("fingerprint_cdfg",))
+    if entry is None or entry[0] != values:
+        entry = cache[("fingerprint_cdfg",)] = (values, fingerprint_cdfg(cdfg))
+    return entry[1]
+
+
+class TokenRunMemo:
+    """Token simulations of the GT proofs, keyed by content.
+
+    A sweep proves every trie edge, and most of those proofs simulate a
+    graph an earlier proof already simulated: each pass's ``before`` is
+    its parent edge's ``after``, passes that change nothing reproduce
+    their input, and GT5's occupancy NOMINAL run is its streams
+    obligation's ``after`` run.  The key is content, never an object
+    id: the graph's ``fingerprint_cdfg``, the delay tables
+    (``DelayModel.cache_key``, what ``fingerprint_delays`` digests),
+    the arc-to-channel map the simulator reads from the channel plan
+    (or None) and the seed.  Equal graphs built by different paths
+    share a run, and a graph mutated after its run (its generation
+    advances) misses.
+
+    Only runs that returned are kept; a run that raised is simulated
+    again, so it raises again with the same message.  Unseeded runs
+    (fresh entropy) and runs under :func:`repro.perf.caching_disabled`
+    bypass the memo.  One memo lives as long as the oracle that owns
+    it, i.e. one explorer or one proof driver, never a whole process.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[tuple, TokenRun] = {}
+
+    def run(
+        self,
+        cdfg: Cdfg,
+        delays: Optional[DelayModel],
+        seed: SeedLike,
+        plan=None,
+    ) -> TokenRun:
+        """``simulate_tokens(cdfg, delays, seed, channel_plan=plan,
+        strict=False)``, served from the memo when its inputs match."""
+        key = None
+        if seed is not None and perf.caching_enabled():
+            key = (
+                _content_fingerprint(cdfg),
+                None if delays is None else delays.cache_key(),
+                None if plan is None else frozenset(plan.arc_to_channel.items()),
+                "nominal" if seed is NOMINAL else seed,
+            )
+            hit = self._runs.get(key)
+            if hit is not None:
+                return hit
+        result = simulate_tokens(
+            cdfg, delay_model=delays, seed=seed, channel_plan=plan, strict=False
+        )
+        run = TokenRun(tuple(result.writes), tuple(result.violations))
+        if key is not None:
+            self._runs[key] = run
+        return run
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +618,10 @@ def _obligation_gt3_witnesses(
 
 
 def _obligation_occupancy(
-    report: TransformReport, after: Cdfg, delays: Optional[DelayModel]
+    report: TransformReport,
+    after: Cdfg,
+    delays: Optional[DelayModel],
+    memo: TokenRunMemo,
 ) -> FlowObligation:
     plan = report.artifacts.get("channel_plan")
     if plan is None:
@@ -543,9 +635,7 @@ def _obligation_occupancy(
         )
     for seed in (NOMINAL, 0, 1):
         try:
-            result = simulate_tokens(
-                after, delay_model=delays, seed=seed, channel_plan=plan, strict=False
-            )
+            result = memo.run(after, delays, seed, plan)
         except Exception as exc:  # noqa: BLE001
             return FlowObligation(
                 "occupancy", "refuted", f"simulation under plan failed (seed {seed!r}): {exc}"
@@ -567,6 +657,7 @@ def _schedule_counterexample(
     delays: Optional[DelayModel],
     plan,
     racing: Optional[Race],
+    memo: TokenRunMemo,
 ) -> Dict[str, object]:
     """Search for a concrete schedule separating the two designs.
 
@@ -577,9 +668,7 @@ def _schedule_counterexample(
     deterministic, so the counterexample replays exactly.
     """
     base = delays or DelayModel()
-    spec = simulate_tokens(
-        before, delay_model=base, seed=NOMINAL, strict=False
-    ).write_streams()
+    spec = memo.run(before, delays, NOMINAL).write_streams()
 
     trials: List[Tuple[str, DelayModel, object]] = []
     if racing is not None:
@@ -604,9 +693,7 @@ def _schedule_counterexample(
 
     for description, model, seed in trials:
         try:
-            result = simulate_tokens(
-                after, delay_model=model, seed=seed, channel_plan=plan, strict=False
-            )
+            result = memo.run(after, model, seed, plan)
         except Exception as exc:  # noqa: BLE001 — a crash is itself a witness
             return {
                 "kind": "schedule",
@@ -647,10 +734,18 @@ def check_global_flow(
     after: Cdfg,
     delays: Optional[DelayModel] = None,
     index: int = 0,
+    memo: Optional[TokenRunMemo] = None,
 ) -> FlowProof:
-    """Discharge the flow-equivalence obligations of one GT pass."""
+    """Discharge the flow-equivalence obligations of one GT pass.
+
+    ``memo`` shares token simulations with the other proofs of the
+    same sweep (see :class:`TokenRunMemo`); without one, the proof's
+    own runs are still shared among its obligations.
+    """
     if not report.applied:
         return FlowProof(report.name, "cdfg", index, "no-op")
+    if memo is None:
+        memo = TokenRunMemo()
 
     plan = report.artifacts.get("channel_plan")
     obligations = [_obligation_order(report, before, after)]
@@ -659,16 +754,12 @@ def check_global_flow(
     if report.name == "GT3":
         obligations.append(_obligation_gt3_witnesses(report, before, delays))
     if report.name == "GT5":
-        obligations.append(_obligation_occupancy(report, after, delays))
+        obligations.append(_obligation_occupancy(report, after, delays, memo))
 
-    spec = simulate_tokens(
-        before, delay_model=delays, seed=NOMINAL, strict=False
-    ).write_streams()
+    spec = memo.run(before, delays, NOMINAL).write_streams()
     nominal_counterexample: Optional[Dict[str, object]] = None
     try:
-        result = simulate_tokens(
-            after, delay_model=delays, seed=NOMINAL, strict=False, channel_plan=plan
-        )
+        result = memo.run(after, delays, NOMINAL, plan)
     except Exception as exc:  # noqa: BLE001 — a stuck design refutes the pass
         got: Dict[str, List[float]] = {}
         divergence = None
@@ -717,7 +808,7 @@ def check_global_flow(
     counterexample = None
     if any(not o.proved for o in obligations):
         counterexample = nominal_counterexample or _schedule_counterexample(
-            before, after, delays, plan, racing
+            before, after, delays, plan, racing, memo
         )
     verdict = "refuted" if counterexample is not None or any(
         not o.proved for o in obligations
@@ -1080,13 +1171,16 @@ def make_flow_global_oracle(
     refuted proof raises :class:`FlowRefutedError` (message prefix
     ``flow[GTn]:``) aborting the script, otherwise refutations are
     only collected.  Each check runs in a ``proof/global/<GTn>`` span.
+    The oracle owns one :class:`TokenRunMemo`, so its proofs share
+    token simulations for as long as the oracle lives.
     """
     proofs = collect if collect is not None else []
+    memo = TokenRunMemo()
 
     def oracle(report: TransformReport, before: Cdfg, after: Cdfg) -> None:
         with span(f"proof/global/{report.name}"):
             proof = check_global_flow(
-                report, before, after, delays=delays, index=len(proofs)
+                report, before, after, delays=delays, index=len(proofs), memo=memo
             )
         proofs.append(proof)
         if strict and not proof.proved:

@@ -88,6 +88,60 @@ class TestNominalExactness:
         assert path_delay_sum(segments) == result.end_time
 
 
+@pytest.mark.parametrize("workload", ["diffeq", "fir", "gcd", "ewf"])
+@pytest.mark.parametrize("seed", [NOMINAL, 0, 1, 2, 3], ids=repr)
+def test_system_path_sums_to_makespan_bit_for_bit(workload, seed):
+    design = synthesize(workload)
+    result = simulate_system(design, seed=seed, trace=EventTrace())
+    assert path_delay_sum(critical_path(result.trace)) == result.end_time
+
+
+class _ReferenceTrace:
+    """One record per scheduled event, the straightforward recorder the
+    array-backed :class:`EventTrace` replaces."""
+
+    def __init__(self):
+        self.records = {}
+        self.executed = []
+        self.current = None
+
+    def on_schedule(self, uid, at, delay, label):
+        self.records[uid] = (at, delay, self.current, label)
+
+    def on_execute(self, uid):
+        self.executed.append(uid)
+        self.current = uid
+
+    def segments(self, end_uid=None):
+        uid = self.executed[-1] if end_uid is None else end_uid
+        path = []
+        while uid is not None:
+            at, delay, parent, label = self.records[uid]
+            if delay > 0.0:
+                path.append((label or "(unlabeled)", at, at + delay, delay))
+            uid = parent
+        return path[::-1]
+
+
+@pytest.mark.parametrize("workload", ["diffeq", "gcd"])
+def test_array_recorder_matches_a_per_event_recorder(workload):
+    design = synthesize(workload)
+    reference = _ReferenceTrace()
+    simulate_system(design, seed=5, trace=reference)
+    traced = simulate_system(design, seed=5, trace=EventTrace())
+    segments = critical_path(traced.trace)
+    assert [
+        (segment.label, segment.start, segment.end, segment.delay) for segment in segments
+    ] == reference.segments()
+    dumped = traced.trace.to_dicts()
+    assert [entry["uid"] for entry in dumped] == reference.executed
+    for entry in dumped:
+        at, delay, parent, label = reference.records[entry["uid"]]
+        assert (entry["time"], entry["delay"], entry["parent"], entry["label"]) == (
+            at + delay, delay, parent, label,
+        )
+
+
 class TestAnalysis:
     @pytest.fixture(scope="class")
     def traced_run(self):

@@ -9,19 +9,40 @@ so the verify tests can reuse it.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cdfg import check_well_formed
 from repro.channels import derive_channels
+from repro.errors import ChannelSafetyError
 from repro.sim import NOMINAL, simulate_tokens
 from repro.transforms import optimize_global
 
 from tests.strategies import build_program, programs
 
 
+def _op(dest, operator):
+    return (dest, dest, operator, dest, "FU_A")
+
+
+#: a known refutation, not yet fixed (ROADMAP item 4, second witness):
+#: after the transform script, seed 0 puts two outstanding transitions
+#: on body2 -> body3.  Pinned as an explicit example so every run checks
+#: it; when the static wire-capacity check lands the example stops
+#: raising and Hypothesis fails it: drop the xfail then
+GT5_OCCUPANCY_WITNESS = (
+    (),
+    (_op("R0", "+"),) * 3 + (_op("R1", "+"), _op("R1", "*")),
+    4,
+)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
+@example(GT5_OCCUPANCY_WITNESS).xfail(
+    reason="ROADMAP item 4: GT5 merges a wire that GT1 double-books",
+    raises=ChannelSafetyError,
+)
 def test_transform_script_preserves_semantics(program):
     cdfg = build_program(program)
     check_well_formed(cdfg)

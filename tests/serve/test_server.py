@@ -219,7 +219,7 @@ class TestWorkerPoolIsolation:
             context = runner._pool.mp_context
             assert context.get_start_method() == "forkserver"
         finally:
-            runner.shutdown(wait=False)
+            runner.shutdown()  # joins the pool and reaps the forkserver
 
 
 class TestBoundedObservability:
@@ -277,3 +277,71 @@ class TestBoundedObservability:
             assert len(spans()) <= SPAN_HISTORY
         finally:
             reset_spans()
+
+
+def _session_members(session: int):
+    """``(pid, state)`` of every process whose session id is ``session``."""
+    import os
+
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # comm may contain spaces and parentheses: parse after the last ")"
+        fields = stat[stat.rindex(")") + 2:].split()
+        if int(fields[3]) == session:
+            members.append((int(entry), fields[0]))
+    return members
+
+
+class TestProcessLifecycle:
+    @pytest.mark.skipif(
+        not __import__("os").path.isdir("/proc/self"), reason="needs Linux /proc"
+    )
+    def test_sigterm_leaves_no_process_of_the_server_session(self, tmp_path):
+        """``repro serve`` with process workers starts a forkserver and
+        a resource tracker.  After SIGTERM the server must stop and reap
+        both before it exits: the moment it has exited, no process of
+        its session may remain, running or unreaped."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.serve.client import ServeClient
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--store", str(tmp_path / "s.sqlite3"),
+                "--workers", "1", "--executor", "process",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+            env=dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", "")),
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", banner)
+            assert match, f"no listening banner: {banner!r}"
+            client = ServeClient(match.group(1), int(match.group(2)), timeout=60.0)
+            job = client.run("verify", VERIFY, timeout=120.0)
+            assert job["state"] == "DONE", job
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60.0) == 0
+            assert _session_members(proc.pid) == []
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()

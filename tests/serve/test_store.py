@@ -153,6 +153,30 @@ class TestHealing:
         assert list(tmp_path.glob("jobs.sqlite3.corrupt-*"))
         fresh.close()
 
+    def test_unknown_format_version_is_refused_not_quarantined(self, tmp_path):
+        import sqlite3
+
+        from repro.errors import StoreVersionError
+
+        path = tmp_path / "jobs.sqlite3"
+        store = JobStore(path)
+        store.submit("verify", PARAMS, KEY)
+        store.close()
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE meta SET value = '999' WHERE name = 'version'")
+        conn.commit()
+        conn.close()
+        before = sorted(entry.name for entry in tmp_path.iterdir())
+        with pytest.raises(StoreVersionError, match="'999'"):
+            JobStore(path)
+        # not corrupt: nothing renamed, the jobs still there for the
+        # version that wrote them
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == before
+        conn = sqlite3.connect(str(path))
+        assert conn.execute("SELECT value FROM meta WHERE name = 'version'").fetchone() == ("999",)
+        assert conn.execute("SELECT COUNT(*) FROM jobs").fetchone() == (1,)
+        conn.close()
+
 
 class TestQueue:
     def test_fifo_dispatch_with_exclusions(self, store):
