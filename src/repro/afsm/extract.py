@@ -30,6 +30,7 @@ from repro.afsm.burst import Cond, Edge, InputBurst, OutputBurst
 from repro.afsm.fragments import FragmentPlan, GlobalEdge, expand_operation
 from repro.afsm.machine import BurstModeMachine
 from repro.afsm.signals import Signal, SignalKind
+from repro.cdfg.blocks import innermost_loop
 from repro.cdfg.graph import ENV, Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.cdfg.node import Node
@@ -99,15 +100,6 @@ class PhaseAssignment:
             raise ExtractionError(f"no event for node {src!r} on channel {channel!r}") from None
 
 
-def _innermost_loop(cdfg: Cdfg, name: str) -> Optional[str]:
-    current = cdfg.block_of(name)
-    while current is not None:
-        if cdfg.node(current).kind is NodeKind.LOOP:
-            return current
-        current = cdfg.block_of(current)
-    return None
-
-
 def _loop_context(cdfg: Cdfg, name: str) -> Optional[str]:
     """The loop a node's firing repeats with (the node's innermost
     loop; a LOOP/ENDLOOP node repeats with its own loop)."""
@@ -118,7 +110,7 @@ def _loop_context(cdfg: Cdfg, name: str) -> Optional[str]:
         for arc in cdfg.arcs_from(name):
             if cdfg.node(arc.dst).kind is NodeKind.LOOP:
                 return arc.dst
-    return _innermost_loop(cdfg, name)
+    return innermost_loop(cdfg, name)
 
 
 def _fu_nodes_in_loop(cdfg: Cdfg, fu: str, loop: str) -> List[str]:
@@ -142,7 +134,7 @@ def assign_phases(cdfg: Cdfg, plan: ChannelPlan) -> PhaseAssignment:
             one_shot = loop is None
             if loop is not None:
                 # exit events (a LOOP's arcs leaving its block) fire once
-                dst_loop = _innermost_loop(cdfg, dst)
+                dst_loop = innermost_loop(cdfg, dst)
                 if cdfg.node(src).kind is NodeKind.LOOP and dst_loop != src:
                     one_shot = dst != src and not _is_inside(cdfg, dst, src)
             entry = events.setdefault(src, {"one_shot": one_shot, "loop": loop})

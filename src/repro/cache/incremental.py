@@ -146,20 +146,19 @@ class IncrementalExplorer:
         self._local_oracle = None
         if golden is not None:
             from repro.verify.flow import (
-                compose_global_oracles,
                 compose_local_oracles,
                 make_flow_global_oracle,
                 make_flow_local_oracle,
             )
-            from repro.verify.oracles import make_global_oracle, make_local_oracle
+            from repro.verify.oracles import make_local_oracle
 
-            # same composition order as the per-point oracle, so the
-            # first failure message (and thus the conformance/proof
-            # stamps) is bit-identical across both paths
-            self._oracle = compose_global_oracles(
-                make_global_oracle(delays=delays, deep=False),
-                make_flow_global_oracle(delays=delays),
-            )
+            # same oracles, in the same order, as the per-point path, so
+            # the first failure message (and thus the conformance/proof
+            # stamps) is bit-identical across both paths.  The flow
+            # proof alone decides GT passes; the LT composition keeps
+            # the metamorphic checks of ack and reset edges, which the
+            # stream languages do not observe
+            self._oracle = make_flow_global_oracle(delays=delays)
             self._local_oracle = compose_local_oracles(
                 make_local_oracle(), make_flow_local_oracle()
             )
@@ -208,12 +207,13 @@ class IncrementalExplorer:
         # once an ancestor pass failed its oracle, the per-point path
         # re-runs the remaining script unchecked — mirror that here
         use_oracle = self._oracle is not None and parent.failure is None
-        # "f1" marks the flow-proof oracle generation: records written
-        # before the flow checker existed carry different failure
-        # semantics and must not be replayed
+        # "f2" names the GT oracle generation whose failure text an
+        # edge record carries (the flow proof alone, so a broken order
+        # contract reads ``flow[GTn]``); records of other generations
+        # carry other failure text and must not be replayed
         oracle_tag = "oracle" if use_oracle else "plain"
-        key = make_key("gt-edge", "f1", parent.fp, name, self._delay_fp, oracle_tag)
-        memo_key = make_key("gt-edge", "f1", parent.fp, name, self._edge_scope, oracle_tag)
+        key = make_key("gt-edge", "f2", parent.fp, name, self._delay_fp, oracle_tag)
+        memo_key = make_key("gt-edge", "f2", parent.fp, name, self._edge_scope, oracle_tag)
         record = self._edge_memo.get(memo_key) if self._edge_memo is not None else None
         if record is None and self.cache is not None:
             record = self.cache.get(key)
@@ -287,7 +287,7 @@ class IncrementalExplorer:
     def _eval_key(self, node: _TrieNode, lt: Tuple[str, ...]) -> str:
         return make_key(
             "eval",
-            "f1",  # flow-proof oracle generation (see _extend)
+            "f1",  # flow-proof oracle generation; evaluations carry LT failures only
             node.fp,
             "+".join(lt) or "-",
             self._delay_fp,

@@ -131,5 +131,9 @@ def enclosing_loops(cdfg: Cdfg, name: str) -> List[str]:
 
 def innermost_loop(cdfg: Cdfg, name: str) -> Optional[str]:
     """Root of the innermost loop containing ``name``, or None."""
-    loops = enclosing_loops(cdfg, name)
-    return loops[0] if loops else None
+    current = cdfg.block_of(name)
+    while current is not None:
+        if cdfg.node(current).kind is NodeKind.LOOP:
+            return current
+        current = cdfg.block_of(current)
+    return None

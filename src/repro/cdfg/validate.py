@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.cdfg.arc import ArcRole
+from repro.cdfg.blocks import innermost_loop
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.errors import ValidationError
@@ -121,7 +122,7 @@ def collect_problems(cdfg: Cdfg) -> List[str]:
     for arc in cdfg.arcs():
         if not arc.backward:
             continue
-        if _innermost_loop_block(cdfg, arc.src) is None:
+        if innermost_loop(cdfg, arc.src) is None:
             problems.append(f"backward arc outside any loop: {arc}")
 
     return problems
@@ -159,12 +160,3 @@ def _is_entry_arc(cdfg: Cdfg, src: str, dst: str) -> bool:
             return True
         current = cdfg.block_of(current)
     return False
-
-
-def _innermost_loop_block(cdfg: Cdfg, name: str):
-    current = cdfg.block_of(name)
-    while current is not None:
-        if cdfg.node(current).kind is NodeKind.LOOP:
-            return current
-        current = cdfg.block_of(current)
-    return None

@@ -10,10 +10,10 @@ about distributions rather than single samples.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.afsm.extract import DistributedDesign
 from repro.sim.system import simulate_system
@@ -32,25 +32,25 @@ class MakespanStats:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.samples))
+        return statistics.fmean(self.samples)
 
     @property
     def std(self) -> float:
-        return float(np.std(self.samples, ddof=1)) if len(self.samples) > 1 else 0.0
+        return statistics.stdev(self.samples) if len(self.samples) > 1 else 0.0
 
     @property
     def minimum(self) -> float:
-        return float(np.min(self.samples))
+        return float(min(self.samples))
 
     @property
     def maximum(self) -> float:
-        return float(np.max(self.samples))
+        return float(max(self.samples))
 
     def confidence_interval(self, z: float = 1.96) -> tuple:
         """Normal-approximation CI for the mean."""
         if self.count < 2:
             return (self.mean, self.mean)
-        half = z * self.std / np.sqrt(self.count)
+        half = z * self.std / math.sqrt(self.count)
         return (self.mean - half, self.mean + half)
 
     def __str__(self) -> str:

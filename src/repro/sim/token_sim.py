@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cdfg.arc import Arc
+from repro.cdfg.blocks import innermost_loop
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.cdfg.node import Node
@@ -228,21 +229,13 @@ class TokenSimulator:
         """Entry arcs (source outside the destination's loop) carry one
         event per loop execution: they gate only the first firing after
         the loop is entered."""
-        loop = self._innermost_loop(name)
+        loop = innermost_loop(self.cdfg, name)
         if loop is None:
             return True
         if arc.src == loop or self._inside(arc.src, loop):
             return True
         # entry arc: required until the node fires once in this epoch
         return self._node_epoch.get(name) != self.loop_epoch.get(loop, 0)
-
-    def _innermost_loop(self, name: str) -> Optional[str]:
-        current = self.cdfg.block_of(name)
-        while current is not None:
-            if self.cdfg.node(current).kind is NodeKind.LOOP:
-                return current
-            current = self.cdfg.block_of(current)
-        return None
 
     def _branch_relative_to(self, name: str, if_root: str) -> Optional[str]:
         """Branch of the direct item of ``if_root`` that contains ``name``."""
@@ -331,7 +324,7 @@ class TokenSimulator:
         node = self.cdfg.node(name)
         self._consume(required)
         self.busy.add(name)
-        loop = self._innermost_loop(name)
+        loop = innermost_loop(self.cdfg, name)
         if loop is not None:
             self._node_epoch[name] = self.loop_epoch.get(loop, 0)
         start = self.kernel.now

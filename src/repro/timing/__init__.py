@@ -1,28 +1,15 @@
-"""Bounded-delay timing model and analysis.
+"""Bounded-delay timing model and the GT3 relative-timing proof.
 
-The paper's GT3 ("relative timing") and the safety checks of GT1/LT1/
-LT4 require knowledge about the relative occurrence of events.  We
-model every operation with a ``[min, max]`` delay interval
-(:mod:`repro.timing.delays`) and compute interval arrival times over
-the CDFG (:mod:`repro.timing.analysis`): an arc may be removed when it
-can never be the last constraint to arrive at its destination, under
-every execution within the delay bounds.
+The paper's GT3 ("relative timing") may remove a constraint arc only
+when it is under no execution path the last to arrive at its
+destination.  Every operation carries a ``[min, max]`` delay interval
+(:mod:`repro.timing.delays`), and
+:func:`~repro.timing.analysis.relative_arc_dominates` proves, over
+anchored longest max- and min-delay paths, that a witness arc into the
+same destination always arrives no earlier than the candidate.
 """
 
 from repro.timing.delays import DelayModel
-from repro.timing.analysis import (
-    ArrivalTimes,
-    arc_slack,
-    compute_arrival_times,
-    is_provably_not_last,
-    critical_path,
-)
+from repro.timing.analysis import relative_arc_dominates
 
-__all__ = [
-    "DelayModel",
-    "ArrivalTimes",
-    "arc_slack",
-    "compute_arrival_times",
-    "is_provably_not_last",
-    "critical_path",
-]
+__all__ = ["DelayModel", "relative_arc_dominates"]

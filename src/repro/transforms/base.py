@@ -66,15 +66,14 @@ class Transform(abc.ABC):
 
 
 class PassManager:
-    """Run a sequence of transforms with optional safety checking.
+    """Run a sequence of transforms, checking each pass's result.
 
-    With ``checked=True`` (the default) the pass manager validates
-    well-formedness after each transform and verifies that the ordering
-    the original CDFG guarantees between operation nodes is preserved
-    (transforms may *add* ordering — GT5.2 does — but never lose any,
-    except where a transform is explicitly entitled to: GT3 removals
-    are justified by timing analysis and GT1 re-expresses ENDLOOP
-    synchronization, so those two carry their own proofs).
+    After every transform the manager validates the graph's
+    well-formedness (:func:`~repro.cdfg.validate.check_well_formed`,
+    when ``checked``, the default) and then calls the installed
+    ``oracle``, if any.  It checks nothing about the firing order
+    itself: the per-pass order contracts belong to the oracles, above
+    all the flow proof (:mod:`repro.verify.flow`).
     """
 
     def __init__(self, checked: bool = True):

@@ -8,11 +8,15 @@ computations and is therefore always slower.
 
 Safety follows the paper's requirement: "it must be verified that the
 removed constraint arc is under no execution path the last to occur."
-:func:`repro.timing.analysis.is_provably_not_last` provides that proof
-over the delay model's ``[min, max]`` intervals.  Removals are applied
-one at a time with the analysis recomputed in between, because deleting
-a constraint lets its destination fire earlier, which can invalidate a
-previously-computed proof for another arc.
+:func:`repro.timing.analysis.relative_arc_dominates` provides that
+proof: a witness arc into the same destination is shown to arrive no
+earlier under every assignment of the delay model's ``[min, max]``
+intervals, by comparing anchored longest max- and min-delay paths.
+Removals are applied one at a time with the proof re-derived in
+between, because deleting a constraint lets its destination fire
+earlier, which can invalidate a previously-found witness for another
+arc.  The flow proof's ``timing-witnesses`` obligation replays the same
+sequence through the same function.
 
 Only data/register-allocation arcs are candidates: control and
 scheduling arcs carry structural roles (loop entry, FU ordering) that
@@ -35,9 +39,8 @@ class RelativeTimingOptimization(Transform):
 
     name = "GT3"
 
-    def __init__(self, delays: Optional[DelayModel] = None, unfold: int = 3):
+    def __init__(self, delays: Optional[DelayModel] = None):
         self.delays = delays or DelayModel()
-        self.unfold = unfold
 
     def apply(self, cdfg: Cdfg) -> TransformReport:
         report = TransformReport(self.name)

@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.cdfg.arc import Arc, ArcRole, control_tag
 from repro.cdfg.graph import ENV, Cdfg
 from repro.channels.model import ArcKey, Channel, ChannelPlan
-from repro.timing.analysis import arc_slack, compute_arrival_times
+from repro.timing.analysis import relative_arc_dominates
 from repro.timing.delays import DelayModel
 from repro.transforms.base import Transform, TransformReport
 from repro.transforms.unfold import Copy, UnfoldedReach, cached_unfolded_reach
@@ -242,8 +242,6 @@ class ChannelElimination(Transform):
         constraints": an arc is provably non-critical when a sibling
         constraint of the same destination always arrives no earlier
         (the same anchored relative-timing proof GT3 uses)."""
-        from repro.timing.analysis import relative_arc_dominates
-
         for witness in cdfg.arcs_to(arc.dst):
             if witness.key == arc.key or witness.backward:
                 continue

@@ -62,7 +62,6 @@ class GlobalOptimizationResult:
 def build_sequence(
     enabled: Sequence[str] = STANDARD_SEQUENCE,
     delays: Optional[DelayModel] = None,
-    checked: bool = True,
 ) -> List[Transform]:
     """Instantiate the requested transforms in canonical order."""
     delays = delays or DelayModel()
@@ -114,7 +113,7 @@ def optimize_global(
     :class:`~repro.transforms.base.PassManager`); the metamorphic
     per-transform oracles live in :mod:`repro.verify.oracles`.
     """
-    transforms = build_sequence(enabled, delays=delays, checked=checked)
+    transforms = build_sequence(enabled, delays=delays)
     manager = PassManager(checked=checked)
     with span("optimize_global", workload=cdfg.name, enabled="+".join(enabled)):
         optimized, reports = manager.run(cdfg, transforms, oracle=oracle)

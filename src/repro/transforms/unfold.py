@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import perf
+from repro.cdfg.blocks import innermost_loop
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
 from repro.errors import TransformError
@@ -34,18 +35,11 @@ from repro.errors import TransformError
 Copy = Tuple[str, Optional[int]]
 
 
-def _loop_of(cdfg: Cdfg, name: str) -> Optional[str]:
-    current = cdfg.block_of(name)
-    while current is not None:
-        if cdfg.node(current).kind is NodeKind.LOOP:
-            return current
-        current = cdfg.block_of(current)
-    return None
-
-
 def _is_iterated(cdfg: Cdfg, name: str) -> bool:
     node = cdfg.node(name)
-    return node.kind in (NodeKind.LOOP, NodeKind.ENDLOOP) or _loop_of(cdfg, name) is not None
+    if node.kind in (NodeKind.LOOP, NodeKind.ENDLOOP):
+        return True
+    return innermost_loop(cdfg, name) is not None
 
 
 def cached_unfolded_reach(cdfg: Cdfg, unfold: int = 2) -> "UnfoldedReach":
@@ -74,7 +68,7 @@ class UnfoldedReach:
         if unfold < 1:
             raise TransformError("unfold", "needs unfold >= 1")
         for node in cdfg.nodes_of_kind(NodeKind.LOOP):
-            if _loop_of(cdfg, node.name) is not None:
+            if innermost_loop(cdfg, node.name) is not None:
                 raise TransformError("unfold", f"nested loop {node.name!r} unsupported")
         self.cdfg = cdfg
         self.unfold = unfold

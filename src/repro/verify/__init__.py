@@ -21,7 +21,10 @@ Entry points:
   engine and cross-checked bit-for-bit against the scalar kernel;
 - :func:`make_global_oracle` / :func:`make_local_oracle` — the
   per-pass invariant checkers, installable on any
-  ``optimize_global`` / ``optimize_local`` call;
+  ``optimize_global`` / ``optimize_local`` call.  The GT oracle is
+  the raising form of the flow proof's ``order`` and plan-coverage
+  obligations; the LT oracle also checks ack and reset edges, which
+  the flow proof's stream languages do not observe;
 - :mod:`repro.verify.flow` — the flow-equivalence *proof* engine:
   :func:`prove_workload` discharges symbolic per-pass obligations and
   emits replayable :class:`FlowProof` certificates (``repro verify

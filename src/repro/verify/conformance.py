@@ -153,7 +153,7 @@ def check_case(case: VerifyCase) -> CaseResult:
         token_level("token:base", cdfg, None)
 
         if case.gts:
-            metamorphic = make_global_oracle(delays=delays, deep=False)
+            metamorphic = make_global_oracle()
 
             def global_oracle(report, before, after):
                 nonlocal level

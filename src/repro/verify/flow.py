@@ -68,7 +68,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import perf
 from repro.afsm.machine import BurstModeMachine
-from repro.afsm.signals import SignalKind
+from repro.afsm.signals import Signal, SignalKind
 from repro.cache.fingerprint import fingerprint_cdfg
 from repro.cdfg.arc import Arc, ArcRole, ArcTag
 from repro.cdfg.graph import Cdfg
@@ -82,11 +82,11 @@ from repro.timing.analysis import relative_arc_dominates
 from repro.timing.delays import DelayModel
 from repro.transforms.base import (
     TransformReport,
+    _copy_id,
     check_precedence_preserved,
     operation_order_pairs,
 )
 from repro.transforms.unfold import Copy, cached_unfolded_reach
-from repro.verify.oracles import _flatten_actions
 
 SCHEMA_PROOF = "flow-proof/v1"
 SCHEMA_REPORT = "flow-report/v1"
@@ -385,11 +385,6 @@ def _first_stream_divergence(
 # ----------------------------------------------------------------------
 # the unfolded conflict relation (global passes)
 # ----------------------------------------------------------------------
-def _copy_id(copy: Copy) -> str:
-    name, iteration = copy
-    return name if iteration is None else f"{name}@{iteration}"
-
-
 def _branch_context(cdfg: Cdfg, name: str) -> Tuple[Tuple[str, str], ...]:
     """The (IF root, branch) pairs enclosing ``name``, innermost first."""
     context: List[Tuple[str, str]] = []
@@ -617,22 +612,30 @@ def _obligation_gt3_witnesses(
     )
 
 
+def _plan_coverage_failure(report: TransformReport, after: Cdfg) -> Optional[str]:
+    """Why GT5's channel plan fails to cover every inter-FU arc of
+    ``after``, or None when it covers them all."""
+    plan = report.artifacts.get("channel_plan")
+    if plan is None:
+        return "GT5 emitted no channel plan"
+    uncovered = [
+        arc.key for arc in after.inter_fu_arcs() if arc.key not in plan.arc_to_channel
+    ]
+    if uncovered:
+        return f"plan leaves arcs unchanneled: {uncovered[:3]}"
+    return None
+
+
 def _obligation_occupancy(
     report: TransformReport,
     after: Cdfg,
     delays: Optional[DelayModel],
     memo: TokenRunMemo,
 ) -> FlowObligation:
-    plan = report.artifacts.get("channel_plan")
-    if plan is None:
-        return FlowObligation("occupancy", "refuted", "GT5 emitted no channel plan")
-    uncovered = [
-        arc.key for arc in after.inter_fu_arcs() if arc.key not in plan.arc_to_channel
-    ]
-    if uncovered:
-        return FlowObligation(
-            "occupancy", "refuted", f"plan leaves arcs unchanneled: {uncovered[:3]}"
-        )
+    failure = _plan_coverage_failure(report, after)
+    if failure is not None:
+        return FlowObligation("occupancy", "refuted", failure)
+    plan = report.artifacts["channel_plan"]
     for seed in (NOMINAL, 0, 1):
         try:
             result = memo.run(after, delays, seed, plan)
@@ -835,6 +838,14 @@ def _observable_key(observable: Observable) -> str:
     if observable[0] == "wire":
         return f"wire:{observable[1]}"
     return "act:" + ":".join(str(part) for part in observable[1])
+
+
+def _flatten_actions(signal: Signal) -> Tuple:
+    if signal.action is None:
+        return ()
+    if signal.action[0] == "multi":
+        return tuple(signal.action[1])
+    return (signal.action,)
 
 
 def machine_observables(machine: BurstModeMachine) -> Set[Observable]:
@@ -1207,17 +1218,6 @@ def make_flow_local_oracle(
             raise FlowRefutedError(
                 f"flow[{report.name}]: machine {report.machine}: {proof.failure()}"
             )
-
-    return oracle
-
-
-def compose_global_oracles(*oracles):
-    """One GT oracle running each given oracle in turn (None skipped)."""
-    active = [oracle for oracle in oracles if oracle is not None]
-
-    def oracle(report: TransformReport, before: Cdfg, after: Cdfg) -> None:
-        for check in active:
-            check(report, before, after)
 
     return oracle
 

@@ -1,25 +1,19 @@
 """Metamorphic per-transform oracles.
 
 Each GT/LT carries an invariant that must hold between the graph (or
-machine) it received and the one it produced — independent of the
-transform's own internal proof.  The oracles check those invariants
-after every ``apply()`` when installed on
+machine) it received and the one it produced.  The oracles check those
+invariants after every ``apply()`` when installed on
 :func:`repro.transforms.optimize_global` /
-:func:`repro.local_transforms.optimize_local`, turning every synthesis
-run into a self-checking one:
+:func:`repro.local_transforms.optimize_local`, and raise
+:class:`~repro.errors.VerificationError` (message prefix
+``oracle[<pass>]:``) on the first violation:
 
-- **GT1/GT3** only ever *relax* ordering: the firing partial order of
-  the result must be a subset of the original's.
-- **GT2** removes dominated constraints: the partial order must be
-  exactly unchanged.
-- **GT4** merges assignments: no ordered pair may be lost (modulo the
-  merge aliasing resolved by
-  :func:`~repro.transforms.base.check_precedence_preserved`).
-- **GT5** merges channels: ordering is preserved, the emitted plan
-  must cover every inter-controller arc, and a token simulation run
-  *with* the plan must show no two distinct events concurrently
-  outstanding on one merged wire — the property GT5's
-  never-concurrent proof claims.
+- **GT1–GT5** are the raising form of two flow-proof obligations
+  (:mod:`repro.verify.flow`), which decide them: the pass's contract on
+  the firing partial order (GT1/GT3 only relax it, GT2 keeps it
+  exactly, GT4/GT5 keep it modulo node merging) and, for GT5, that the
+  emitted channel plan covers every inter-FU arc.  The flow proof
+  additionally simulates GT5's result under the plan.
 - **LT1/LT2/LT3** only move output edges between bursts: the set of
   output events, the datapath actions they drive, and every global
   handshake edge are preserved.
@@ -28,6 +22,9 @@ run into a self-checking one:
   untouched.
 - **LT5** merges identically-switching wires: wire names change but
   the set of datapath actions and the global handshake are preserved.
+
+The LT checks also cover acknowledgment and reset edges, which the
+flow proof's stream languages do not observe.
 """
 
 from __future__ import annotations
@@ -35,17 +32,15 @@ from __future__ import annotations
 from typing import Callable, FrozenSet, Optional, Set, Tuple
 
 from repro.afsm.machine import BurstModeMachine
-from repro.afsm.signals import Signal, SignalKind
+from repro.afsm.signals import SignalKind
 from repro.cdfg.graph import Cdfg
-from repro.errors import ChannelSafetyError, VerificationError
+from repro.errors import VerificationError
 from repro.local_transforms.base import LocalReport
-from repro.sim.seeding import NOMINAL
-from repro.sim.token_sim import simulate_tokens
-from repro.timing.delays import DelayModel
-from repro.transforms.base import (
-    TransformReport,
-    check_precedence_preserved,
-    operation_order_pairs,
+from repro.transforms.base import TransformReport
+from repro.verify.flow import (
+    _flatten_actions,
+    _obligation_order,
+    _plan_coverage_failure,
 )
 
 GlobalOracle = Callable[[TransformReport, Cdfg, Cdfg], None]
@@ -59,60 +54,20 @@ def _fail(transform: str, reason: str) -> None:
 # ----------------------------------------------------------------------
 # global transforms
 # ----------------------------------------------------------------------
-def make_global_oracle(
-    delays: Optional[DelayModel] = None,
-    deep: bool = True,
-    sim_seeds: Tuple = (NOMINAL, 0, 1),
-) -> GlobalOracle:
-    """Build the per-GT invariant checker.
-
-    ``deep`` additionally executes GT5's result under its channel plan
-    (``sim_seeds`` simulations) so an unsound channel merge is caught
-    dynamically even if the structural checks pass; disable it where
-    the surrounding harness already simulates with the plan.
-    """
+def make_global_oracle() -> GlobalOracle:
+    """Build the per-GT invariant checker: the flow proof's ``order``
+    obligation and GT5's plan coverage, raised instead of certified."""
 
     def oracle(report: TransformReport, before: Cdfg, after: Cdfg) -> None:
-        name = report.name
         if not report.applied:
             return
-        if name in ("GT1", "GT3"):
-            extra = operation_order_pairs(after) - operation_order_pairs(before)
-            if extra:
-                _fail(name, f"introduced ordering not present before: {sorted(extra)[:3]}")
-        elif name == "GT2":
-            if operation_order_pairs(before) != operation_order_pairs(after):
-                _fail(name, "changed the firing partial order (must be identity)")
-        elif name == "GT4":
-            missing = check_precedence_preserved(before, after, allow_missing=True)
-            if missing:
-                _fail(name, f"lost ordering for {len(missing)} pairs, e.g. {missing[:3]}")
-        elif name == "GT5":
-            missing = check_precedence_preserved(before, after, allow_missing=True)
-            if missing:
-                _fail(name, f"lost ordering for {len(missing)} pairs, e.g. {missing[:3]}")
-            plan = report.artifacts.get("channel_plan")
-            if plan is None:
-                _fail(name, "applied but emitted no channel plan")
-            uncovered = [
-                arc.key for arc in after.inter_fu_arcs() if arc.key not in plan.arc_to_channel
-            ]
-            if uncovered:
-                _fail(name, f"plan leaves arcs without a channel: {uncovered[:3]}")
-            if deep:
-                for seed in sim_seeds:
-                    try:
-                        result = simulate_tokens(
-                            after, delay_model=delays, seed=seed, channel_plan=plan
-                        )
-                    except ChannelSafetyError as exc:
-                        _fail(name, f"merged-channel safety violated (seed {seed!r}): {exc}")
-                    if result.violations:
-                        _fail(
-                            name,
-                            f"merged-channel safety violated (seed {seed!r}): "
-                            f"{result.violations[0]}",
-                        )
+        order = _obligation_order(report, before, after)
+        if not order.proved:
+            _fail(report.name, order.detail)
+        if report.name == "GT5":
+            failure = _plan_coverage_failure(report, after)
+            if failure is not None:
+                _fail(report.name, failure)
 
     return oracle
 
@@ -157,14 +112,6 @@ def _edges_of_kind(
             if _kind_of(machine, edge.signal) is kind:
                 edges.add((edge.signal, edge.rising))
     return edges
-
-
-def _flatten_actions(signal: Signal) -> Tuple:
-    if signal.action is None:
-        return ()
-    if signal.action[0] == "multi":
-        return tuple(signal.action[1])
-    return (signal.action,)
 
 
 def _datapath_actions(machine: BurstModeMachine) -> Set[tuple]:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.transforms import optimize_global
 from repro.workloads import build_diffeq_cdfg, build_ewf_cdfg, build_gcd_cdfg
+
+# Tier-1 draws fresh random examples every run, but keeps no examples
+# database: a red run must not leave state that changes the next run.
+settings.register_profile("tier1", database=None)
+settings.load_profile("tier1")
 
 
 def pytest_addoption(parser):

@@ -18,8 +18,12 @@ import json
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.afsm.machine import BurstModeMachine
-from repro.verify.flow import Observable, _observable_key, machine_observables
-from repro.verify.oracles import _flatten_actions
+from repro.verify.flow import (
+    Observable,
+    _flatten_actions,
+    _observable_key,
+    machine_observables,
+)
 
 _ALPHABET: Dict[str, Tuple[str, ...]] = {"wire": ("+", "-"), "act": ("!",)}
 

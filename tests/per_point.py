@@ -28,12 +28,11 @@ from repro.sim.token_sim import simulate_tokens
 from repro.timing.delays import DelayModel
 from repro.transforms import optimize_global
 from repro.verify.flow import (
-    compose_global_oracles,
     compose_local_oracles,
     make_flow_global_oracle,
     make_flow_local_oracle,
 )
-from repro.verify.oracles import make_global_oracle, make_local_oracle
+from repro.verify.oracles import make_local_oracle
 
 
 def evaluate_point(
@@ -58,10 +57,7 @@ def evaluate_point(
     oracle = local_oracle = None
     flow_proofs: List = []
     if golden is not None:
-        oracle = compose_global_oracles(
-            make_global_oracle(delays=delays, deep=False),
-            make_flow_global_oracle(delays=delays, collect=flow_proofs),
-        )
+        oracle = make_flow_global_oracle(delays=delays, collect=flow_proofs)
         local_oracle = compose_local_oracles(
             make_local_oracle(), make_flow_local_oracle(collect=flow_proofs)
         )

@@ -1,13 +1,12 @@
-"""Interval arrival-time analysis and the GT3 dominance proof."""
+"""The GT3 relative-timing dominance proof."""
 
 import pytest
 
 from repro.errors import TimingError
-from repro.timing import DelayModel, compute_arrival_times, critical_path
-from repro.timing.analysis import relative_arc_dominates
+from repro.timing import DelayModel, relative_arc_dominates
 from repro.transforms import LoopParallelism, RemoveDominatedConstraints
 from repro.workloads import build_diffeq_cdfg
-from repro.workloads.diffeq import N_B, N_M1B, N_M2, N_U
+from repro.workloads.diffeq import N_M1B, N_M2, N_U
 
 
 @pytest.fixture
@@ -16,35 +15,6 @@ def prepared():
     LoopParallelism().apply(cdfg)
     RemoveDominatedConstraints().apply(cdfg)
     return cdfg
-
-
-class TestArrivalTimes:
-    def test_intervals_are_ordered(self, diffeq):
-        times = compute_arrival_times(diffeq)
-        for interval in times.completion.values():
-            assert interval[0] <= interval[1]
-
-    def test_b_completes_before_loop_body(self, diffeq):
-        times = compute_arrival_times(diffeq)
-        b_interval = times.completion_of(N_B)
-        first_mul = times.completion_of("M1 := U * X1", iteration=0)
-        assert b_interval[1] <= first_mul[1]
-
-    def test_later_iterations_complete_later(self, diffeq):
-        times = compute_arrival_times(diffeq, unfold=3)
-        first = times.completion_of(N_U, iteration=0)
-        last = times.completion_of(N_U, iteration=2)
-        assert last[0] > first[0]
-
-    def test_unfold_must_be_positive(self, diffeq):
-        with pytest.raises(TimingError):
-            compute_arrival_times(diffeq, unfold=0)
-
-    def test_critical_path_ends_at_end(self, diffeq):
-        times = compute_arrival_times(diffeq)
-        path = critical_path(diffeq, times)
-        assert path[-1] == "END"
-        assert len(path) > 3
 
 
 class TestRelativeDominance:

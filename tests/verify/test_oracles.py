@@ -8,8 +8,9 @@ from repro.errors import VerificationError
 from repro.local_transforms import optimize_local
 from repro.local_transforms.base import LocalReport
 from repro.transforms import optimize_global
-from repro.transforms.base import TransformReport
-from repro.verify import make_global_oracle, make_local_oracle
+from repro.transforms.base import TransformReport, operation_order_pairs
+from repro.transforms.scripts import STANDARD_SEQUENCE
+from repro.verify import check_global_flow, make_global_oracle, make_local_oracle
 from repro.workloads import build_workload, workload_names
 
 
@@ -27,15 +28,10 @@ def test_oracle_skips_unapplied_passes(diffeq):
     make_global_oracle()(report, diffeq, build_workload("gcd"))
 
 
-def test_gt1_oracle_rejects_added_ordering(diffeq_optimized):
-    """GT1 may only relax the firing order; adding an arc must fail."""
-    from repro.transforms.base import operation_order_pairs
-
-    before = diffeq_optimized.cdfg
+def _ordering_added(before):
+    """``before`` plus one arc that genuinely orders two operations."""
     pairs_before = operation_order_pairs(before)
     ops = [node.name for node in before.operation_nodes()]
-    # find an arc whose addition genuinely orders two operations
-    after = None
     for left in ops:
         for right in ops:
             if left == right or before.has_arc(left, right):
@@ -43,27 +39,34 @@ def test_gt1_oracle_rejects_added_ordering(diffeq_optimized):
             candidate = before.copy()
             candidate.add_arc(Arc(left, right, frozenset({control_tag()})))
             if operation_order_pairs(candidate) - pairs_before:
-                after = candidate
-                break
-        if after is not None:
-            break
-    assert after is not None
-    report = TransformReport("GT1", applied=True)
-    with pytest.raises(VerificationError, match=r"oracle\[GT1\]"):
-        make_global_oracle()(report, before, after)
+                return candidate
+    raise AssertionError("no arc adds ordering")
 
 
-def test_gt2_oracle_rejects_any_order_change(diffeq):
-    after = diffeq.copy()
+def _arc_removed(cdfg):
+    """``cdfg`` minus its first non-scheduling forward arc."""
+    after = cdfg.copy()
     removable = next(
         arc
         for arc in after.arcs()
         if not arc.has_role(ArcRole.SCHEDULING) and not arc.backward
     )
     after.remove_arc(removable.src, removable.dst)
+    return after
+
+
+def test_gt1_oracle_rejects_added_ordering(diffeq_optimized):
+    """GT1 may only relax the firing order; adding an arc must fail."""
+    before = diffeq_optimized.cdfg
+    report = TransformReport("GT1", applied=True)
+    with pytest.raises(VerificationError, match=r"oracle\[GT1\]"):
+        make_global_oracle()(report, before, _ordering_added(before))
+
+
+def test_gt2_oracle_rejects_any_order_change(diffeq):
     report = TransformReport("GT2", applied=True)
     with pytest.raises(VerificationError, match=r"oracle\[GT2\]"):
-        make_global_oracle()(report, diffeq, after)
+        make_global_oracle()(report, diffeq, _arc_removed(diffeq))
 
 
 def test_gt5_oracle_requires_a_plan(diffeq_optimized):
@@ -90,3 +93,67 @@ def test_local_oracle_allows_lt4_ack_removal(gcd_optimized):
     """LT4's own legitimate effect (dropping ack waits) must pass."""
     design = extract_controllers(gcd_optimized.cdfg, gcd_optimized.plan)
     optimize_local(design, enabled=("LT4",), oracle=make_local_oracle())
+
+
+# ----------------------------------------------------------------------
+# the metamorphic GT oracle is the raising form of the flow obligations
+# ----------------------------------------------------------------------
+def _flow_order_and_coverage(report, before, after):
+    """The first refuted ``order``/plan-coverage detail of the pass's
+    flow proof, or None.  Coverage is decided here from the plan
+    itself, because the ``occupancy`` obligation also simulates."""
+    proof = check_global_flow(report, before, after)
+    details = {obligation.name: obligation for obligation in proof.obligations}
+    if not details["order"].proved:
+        return details["order"].detail
+    if report.name == "GT5":
+        plan = report.artifacts.get("channel_plan")
+        covered = plan is not None and all(
+            arc.key in plan.arc_to_channel for arc in after.inter_fu_arcs()
+        )
+        if not covered:
+            assert not details["occupancy"].proved
+            return details["occupancy"].detail
+    return None
+
+
+def _oracle_failure(report, before, after):
+    try:
+        make_global_oracle()(report, before, after)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_same_verdict(report, before, after):
+    expected = _flow_order_and_coverage(report, before, after)
+    got = _oracle_failure(report, before, after)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == f"oracle[{report.name}]: {expected}"
+    return expected
+
+
+@pytest.mark.parametrize("workload", ["diffeq", "fir", "gcd", "ewf"])
+def test_gt_oracle_agrees_with_flow_on_every_pass(workload):
+    passes = []
+    optimize_global(
+        build_workload(workload),
+        oracle=lambda report, before, after: passes.append((report, before, after.copy())),
+    )
+    assert [report.name for report, __, __ in passes] == list(STANDARD_SEQUENCE)
+    for report, before, after in passes:
+        if report.applied:
+            assert _assert_same_verdict(report, before, after) is None
+
+
+def test_gt_oracle_agrees_with_flow_on_bad_graphs(diffeq, diffeq_optimized):
+    before, after = diffeq_optimized.cdfg, _ordering_added(diffeq_optimized.cdfg)
+    assert _assert_same_verdict(TransformReport("GT1", applied=True), before, after)
+
+    after = _arc_removed(diffeq)
+    assert _assert_same_verdict(TransformReport("GT2", applied=True), diffeq, after)
+
+    cdfg = diffeq_optimized.cdfg
+    assert _assert_same_verdict(TransformReport("GT5", applied=True), cdfg, cdfg)
