@@ -24,16 +24,15 @@ The four steps are implemented as:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.afsm.burst import Cond, Edge, InputBurst, OutputBurst
 from repro.afsm.fragments import FragmentPlan, GlobalEdge, expand_operation
 from repro.afsm.machine import BurstModeMachine
 from repro.afsm.signals import Signal, SignalKind
 from repro.cdfg.blocks import innermost_loop
-from repro.cdfg.graph import ENV, Cdfg
+from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
-from repro.cdfg.node import Node
 from repro.channels.model import Channel, ChannelPlan
 from repro.errors import ExtractionError
 from repro.obs.spans import set_attribute, span

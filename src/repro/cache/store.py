@@ -11,10 +11,10 @@ a temp file + rename.  Because floats are serialized with ``repr``
 precision by :mod:`json`, a record round-trips bit-identically —
 the property the cold-vs-warm equivalence tests pin down.
 
-Every lookup is counted in the :mod:`repro.perf` registry
-(``cache/hit`` / ``cache/miss``) and hits can additionally be marked
-with zero-duration spans so ``repro profile`` stays honest about work
-that was *not* redone.
+Every lookup is counted in :meth:`ArtifactCache.stats` (``hits`` /
+``misses``); the explorer marks its hits with ``explore/cache-hit``
+spans so ``repro profile`` stays honest about work that was *not*
+redone.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Union
-
-from repro import perf
 
 
 @contextmanager
@@ -214,10 +212,8 @@ class ArtifactCache:
         record = self.memory.get(key)
         if record is None:
             self.misses += 1
-            perf.count_event("cache/miss")
             return None
         self.hits += 1
-        perf.count_event("cache/hit")
         return record
 
     def put(self, key: str, record: dict) -> dict:

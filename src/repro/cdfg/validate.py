@@ -1,9 +1,9 @@
 """Well-formedness checks for CDFGs.
 
 ``check_well_formed`` enforces the structural invariants the rest of
-the flow relies on.  Transforms call it (in tests and in the pass
-manager's checked mode) before and after running, so a transform that
-corrupts the graph is caught at its source.
+the flow relies on.  The pass manager calls it after every transform
+(and tests before and after), so a transform that corrupts the graph
+is caught at its source.
 """
 
 from __future__ import annotations

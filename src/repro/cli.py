@@ -43,9 +43,9 @@ from repro.eval.experiments import (
     run_trajectory,
 )
 from repro.eval.tables import render_table
-from repro import perf
 from repro.local_transforms import optimize_local
 from repro.obs.provenance import ProvenanceRecord
+from repro.obs.spans import format_timings, reset_spans
 from repro.sim.seeding import NOMINAL, SeedLike
 from repro.sim.system import ControllerSystem, simulate_system
 from repro.transforms import optimize_global
@@ -205,7 +205,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     args.workload = _resolve_workload(args)
     if args.timings:
-        perf.reset_timings()
+        reset_spans()
     design, __ = _build_design(args.workload, args.level)
     print(design.summary())
     if args.verbose:
@@ -215,7 +215,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if args.timings:
         print()
         print("per-pass wall time:")
-        print(perf.format_timings())
+        print(format_timings())
     return 0
 
 
@@ -244,9 +244,7 @@ def _profiled_run(args: argparse.Namespace):
     ``segments`` is the simulation's causal critical path.
     """
     from repro.obs.causal import EventTrace, critical_path
-    from repro.obs.spans import reset_spans
 
-    perf.reset_timings()
     reset_spans()
     args.workload = _resolve_workload(args)
     design, provenance = _build_design(args.workload, args.level)

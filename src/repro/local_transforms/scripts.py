@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
-
 from repro.afsm.extract import Controller, DistributedDesign
 from repro.obs.provenance import ProvenanceRecord, write_jsonl
 from repro.obs.spans import span
@@ -69,7 +67,6 @@ def optimize_machine(
     fu: str,
     machine: BurstModeMachine,
     transforms: Sequence[LocalTransform],
-    checked: bool = True,
     oracle: Optional[
         Callable[[LocalReport, BurstModeMachine, BurstModeMachine], None]
     ] = None,
@@ -104,9 +101,8 @@ def optimize_machine(
             folded_states=report.folded_states,
         )
         reports.append(report)
-        if checked:
-            with perf.timed_section("local/check_machine"):
-                check_machine(machine)
+        with span("local/check_machine", machine=fu):
+            check_machine(machine)
         if oracle is not None:
             oracle(report, snapshot, machine)
     machine.fold_trivial_states()
@@ -127,7 +123,6 @@ def optimize_machine(
 def optimize_local(
     design: DistributedDesign,
     enabled: Sequence[str] = STANDARD_LOCAL_SEQUENCE,
-    checked: bool = True,
     oracle: Optional[
         Callable[[LocalReport, BurstModeMachine, BurstModeMachine], None]
     ] = None,
@@ -148,7 +143,7 @@ def optimize_local(
     with span("optimize_local", workload=design.cdfg.name, enabled="+".join(enabled)):
         for fu, controller in design.controllers.items():
             rebuilt, machine_reports = optimize_machine(
-                fu, controller.machine, transforms, checked=checked, oracle=oracle
+                fu, controller.machine, transforms, oracle=oracle
             )
             reports.extend(machine_reports)
             optimized.controllers[fu] = rebuilt

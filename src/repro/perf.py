@@ -1,54 +1,28 @@
-"""Profiling hooks and cache controls for the synthesis hot path.
+"""The analysis-cache switch.
 
-Two small facilities, both deliberately dependency-free:
-
-**Timed sections.**  :func:`timed_section` is a context manager that
-accumulates wall time into a process-global registry, keyed by section
-name.  The pass managers use it to attribute time to individual
-transforms (``global/GT3``, ``local/LT5``, ...); callers can wrap any
-code of their own.  Read the registry with :func:`section_timings`,
-render it with :func:`format_timings`, clear it with
-:func:`reset_timings`.
-
-**Cache switch.**  The analysis caches introduced for scaling (memoized
+The analysis caches introduced for scaling (memoized
 :class:`~repro.transforms.unfold.UnfoldedReach` construction and
 reachability closures, :class:`~repro.timing.delays.DelayModel`
 interval memoization, anchored longest-path tables in
-:mod:`repro.timing.analysis`) all consult :func:`caching_enabled`.
-:func:`caching_disabled` turns them off for a scope — used by the
-property tests that prove cached and uncached runs produce identical
-designs, and handy when bisecting a suspected stale-cache bug.
+:mod:`repro.timing.analysis`, the flow proofs' token-run memo) all
+consult :func:`caching_enabled`.  :func:`caching_disabled` turns them
+off for a scope — used by the property tests that prove cached and
+uncached runs produce identical designs, and handy when bisecting a
+suspected stale-cache bug.
 
->>> from repro.perf import timed_section, section_timings
->>> with timed_section("my-analysis"):
-...     pass
->>> section_timings()["my-analysis"].calls
-1
+Timings live in the span registry, :mod:`repro.obs.spans`.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Iterator
 
-__all__ = [
-    "caching_enabled",
-    "set_caching",
-    "caching_disabled",
-    "timed_section",
-    "record_duration",
-    "count_event",
-    "section_timings",
-    "reset_timings",
-    "format_timings",
-    "SectionStat",
-]
+# the benchmark harness still imports the registry's reset under this name
+from repro.obs.spans import reset_spans as reset_timings
 
-# ----------------------------------------------------------------------
-# cache switch
-# ----------------------------------------------------------------------
+__all__ = ["caching_enabled", "caching_disabled", "reset_timings"]
+
 _caching = True
 
 
@@ -57,90 +31,12 @@ def caching_enabled() -> bool:
     return _caching
 
 
-def set_caching(enabled: bool) -> bool:
-    """Enable/disable the analysis caches; returns the previous state."""
-    global _caching
-    previous = _caching
-    _caching = bool(enabled)
-    return previous
-
-
 @contextmanager
 def caching_disabled() -> Iterator[None]:
     """Scope with every analysis cache bypassed (recompute everything)."""
-    previous = set_caching(False)
+    global _caching
+    previous, _caching = _caching, False
     try:
         yield
     finally:
-        set_caching(previous)
-
-
-# ----------------------------------------------------------------------
-# timed sections
-# ----------------------------------------------------------------------
-@dataclass
-class SectionStat:
-    """Accumulated wall time of one named section."""
-
-    calls: int = 0
-    total: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.calls if self.calls else 0.0
-
-
-_sections: Dict[str, SectionStat] = {}
-
-
-def record_duration(name: str, seconds: float) -> None:
-    """Add ``seconds`` to section ``name`` (creates it on first use)."""
-    stat = _sections.get(name)
-    if stat is None:
-        stat = _sections[name] = SectionStat()
-    stat.calls += 1
-    stat.total += seconds
-
-
-def count_event(name: str) -> None:
-    """Count one occurrence of ``name`` (zero duration).
-
-    Used for events whose *count* is the signal — artifact-cache hits
-    and misses (``cache/hit`` / ``cache/miss``) show up in
-    ``--timings`` output next to the sections they saved.
-    """
-    record_duration(name, 0.0)
-
-
-@contextmanager
-def timed_section(name: str) -> Iterator[None]:
-    """Accumulate the wall time of the enclosed block under ``name``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        record_duration(name, time.perf_counter() - start)
-
-
-def section_timings() -> Dict[str, SectionStat]:
-    """A snapshot of the registry (name -> :class:`SectionStat`)."""
-    return {name: SectionStat(stat.calls, stat.total) for name, stat in _sections.items()}
-
-
-def reset_timings() -> None:
-    """Clear the registry (e.g. between benchmark repetitions)."""
-    _sections.clear()
-
-
-def format_timings() -> str:
-    """The registry as an aligned text table, slowest section first."""
-    if not _sections:
-        return "(no timed sections recorded)"
-    rows = sorted(_sections.items(), key=lambda item: -item[1].total)
-    width = max(len(name) for name, __ in rows)
-    lines = [f"{'section':<{width}}  {'calls':>6}  {'total':>9}  {'mean':>9}"]
-    for name, stat in rows:
-        lines.append(
-            f"{name:<{width}}  {stat.calls:>6}  {stat.total:>8.3f}s  {stat.mean:>8.4f}s"
-        )
-    return "\n".join(lines)
+        _caching = previous

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional
 
-from repro.obs.spans import trim_spans
 from repro.resilience.injection import PointTimeout, point_deadline
 from repro.resilience.pool import WorkerPool
 from repro.serve.jobs import execute_job
@@ -42,22 +41,11 @@ EXECUTORS = ("process", "thread")
 #: watchdog before assuming it could not fire
 TIMEOUT_GRACE = 0.75
 
-#: spans a long-lived serve process (server or pool worker) retains,
-#: oldest dropped first
-SPAN_HISTORY = 1024
-
 
 def _invoke(kind: str, params: dict, deadline: Optional[float]) -> dict:
-    """Top-level worker entry point (must stay picklable).
-
-    Pool workers live as long as the pool and nothing reads their
-    spans, so every job ends by trimming the registry, as the server
-    does for its own."""
-    try:
-        with point_deadline(deadline):
-            return execute_job(kind, params)
-    finally:
-        trim_spans(SPAN_HISTORY)
+    """Top-level worker entry point (must stay picklable)."""
+    with point_deadline(deadline):
+        return execute_job(kind, params)
 
 
 class JobRunner:

@@ -31,9 +31,9 @@ Every request runs inside an observability span named after its route
 template (``serve/GET /jobs/{id}``; anything unrouted is
 ``serve/unmatched``), so ``repro.obs`` tooling sees serving work the
 same way it sees synthesis passes — with a fixed set of section names,
-however many job IDs and junk paths clients send.  The server keeps
-only the newest :data:`SPAN_HISTORY` spans: it runs for as long as it
-is up, and the per-section totals in :mod:`repro.perf` carry the rest.
+however many job IDs and junk paths clients send.  The span registry
+bounds itself (:data:`repro.obs.spans.SPAN_HISTORY`), so neither the
+server nor its pool workers trim anything.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.errors import JobError
-from repro.obs.spans import span, trim_spans
+from repro.obs.spans import span
 from repro.resilience.pool import RetryPolicy
 from repro.serve import jobs as jobmodel
 from repro.serve.jobs import (
@@ -54,7 +54,7 @@ from repro.serve.jobs import (
     classify_failure,
     job_key,
 )
-from repro.serve.runner import SPAN_HISTORY, JobRunner
+from repro.serve.runner import JobRunner
 from repro.serve.store import JobStore
 
 _REASONS = {
@@ -252,7 +252,6 @@ class JobServer:
         else:
             self.store.finish(job.job_id, result)
         finally:
-            trim_spans(SPAN_HISTORY)
             self._wake.set()
 
     # ------------------------------------------------------------------
@@ -322,11 +321,8 @@ class JobServer:
                     return None, None
 
         path = request_path(target)
-        try:
-            with span(route_span_name(method, path)):
-                return self._route(method, path, body)
-        finally:
-            trim_spans(SPAN_HISTORY)
+        with span(route_span_name(method, path)):
+            return self._route(method, path, body)
 
     def _route(self, method: str, path: str, body: bytes) -> Tuple[int, dict]:
         if path == "/healthz" and method == "GET":

@@ -6,7 +6,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import perf
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.validate import check_well_formed
 from repro.errors import TransformError
@@ -69,15 +68,11 @@ class PassManager:
     """Run a sequence of transforms, checking each pass's result.
 
     After every transform the manager validates the graph's
-    well-formedness (:func:`~repro.cdfg.validate.check_well_formed`,
-    when ``checked``, the default) and then calls the installed
-    ``oracle``, if any.  It checks nothing about the firing order
-    itself: the per-pass order contracts belong to the oracles, above
-    all the flow proof (:mod:`repro.verify.flow`).
+    well-formedness (:func:`~repro.cdfg.validate.check_well_formed`)
+    and then calls the installed ``oracle``, if any.  It checks nothing
+    about the firing order itself: the per-pass order contracts belong
+    to the oracles, above all the flow proof (:mod:`repro.verify.flow`).
     """
-
-    def __init__(self, checked: bool = True):
-        self.checked = checked
 
     def run(
         self,
@@ -85,30 +80,30 @@ class PassManager:
         transforms: Sequence[Transform],
         oracle: Optional[Callable[[TransformReport, Cdfg, Cdfg], None]] = None,
     ) -> Tuple[Cdfg, List[TransformReport]]:
-        """Apply ``transforms`` to a copy of ``cdfg``.
-
-        Each pass's wall time is recorded on its report and in the
-        process-global :mod:`repro.perf` registry under
-        ``global/<name>``.
+        """Apply ``transforms`` to a copy of ``cdfg``; ``cdfg`` is never
+        mutated.
 
         ``oracle`` is a per-pass invariant check, called as
-        ``oracle(report, before, after)`` after every ``apply()`` (and
-        after well-formedness validation when ``checked``); ``before``
-        is a snapshot of the graph the pass received.  It should raise
-        (e.g. :class:`~repro.errors.VerificationError`) on violation.
-        The snapshot copy is only taken when an oracle is installed.
+        ``oracle(report, before, after)`` after every ``apply()`` and
+        well-formedness validation.  ``before`` is the graph the pass
+        received: ``cdfg`` itself for the first pass, the previous
+        pass's result after that, and each pass mutates a fresh copy of
+        it.  Without an oracle every pass mutates one up-front copy.
+        The oracle should raise (e.g.
+        :class:`~repro.errors.VerificationError`) on violation.
 
         Each pass runs inside a :func:`repro.obs.spans.span` named
-        ``global/<name>`` (which still feeds the :mod:`repro.perf`
-        registry, so ``--timings`` is unchanged) and is guaranteed at
-        least one provenance record: transforms emit typed records for
-        every action, and the manager appends a ``pass-summary`` record
-        with the aggregate counts.
+        ``global/<name>``, its wall time is recorded on its report, and
+        it is guaranteed at least one provenance record: transforms
+        emit typed records for every action, and the manager appends a
+        ``pass-summary`` record with the aggregate counts.
         """
-        working = cdfg.copy()
+        working = cdfg if oracle is not None and transforms else cdfg.copy()
         reports: List[TransformReport] = []
         for transform in transforms:
-            snapshot = working.copy() if oracle is not None else None
+            before = working
+            if oracle is not None:
+                working = before.copy()
             with span(f"global/{transform.name}", workload=cdfg.name) as section:
                 report = transform.apply(working)
             report.duration = section.duration
@@ -128,11 +123,10 @@ class PassManager:
                 merged_nodes=len(report.merged_nodes),
             )
             reports.append(report)
-            if self.checked:
-                with perf.timed_section("global/check_well_formed"):
-                    check_well_formed(working)
+            with span("global/check_well_formed"):
+                check_well_formed(working)
             if oracle is not None:
-                oracle(report, snapshot, working)
+                oracle(report, before, working)
         return working, reports
 
 

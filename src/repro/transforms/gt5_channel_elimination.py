@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.cdfg.arc import Arc, ArcRole, control_tag
+from repro.cdfg.arc import Arc, control_tag
 from repro.cdfg.graph import ENV, Cdfg
 from repro.channels.model import ArcKey, Channel, ChannelPlan
 from repro.timing.analysis import relative_arc_dominates

@@ -82,7 +82,6 @@ def apply_transform(
     cdfg: Cdfg,
     name: str,
     delays: Optional[DelayModel] = None,
-    checked: bool = True,
     oracle: Optional[Callable[[TransformReport, Cdfg, Cdfg], None]] = None,
 ) -> "GlobalOptimizationResult":
     """Apply ONE global transform to a copy of ``cdfg``.
@@ -94,29 +93,27 @@ def apply_transform(
     both run each pass through the same :class:`PassManager` on the
     graph state left by the previous pass.
     """
-    return optimize_global(cdfg, enabled=(name,), delays=delays, checked=checked, oracle=oracle)
+    return optimize_global(cdfg, enabled=(name,), delays=delays, oracle=oracle)
 
 
 def optimize_global(
     cdfg: Cdfg,
     enabled: Sequence[str] = STANDARD_SEQUENCE,
     delays: Optional[DelayModel] = None,
-    checked: bool = True,
     oracle: Optional[Callable[[TransformReport, Cdfg, Cdfg], None]] = None,
 ) -> GlobalOptimizationResult:
     """Run the global-transform script on a copy of ``cdfg``.
 
     ``enabled`` selects a subset of GT1..GT5 (canonical order is always
-    respected); ``checked`` validates graph well-formedness after each
+    respected); graph well-formedness is validated after each
     transform.  ``oracle`` is forwarded to the pass manager and called
     as ``oracle(report, before, after)`` after every pass (see
     :class:`~repro.transforms.base.PassManager`); the metamorphic
     per-transform oracles live in :mod:`repro.verify.oracles`.
     """
     transforms = build_sequence(enabled, delays=delays)
-    manager = PassManager(checked=checked)
     with span("optimize_global", workload=cdfg.name, enabled="+".join(enabled)):
-        optimized, reports = manager.run(cdfg, transforms, oracle=oracle)
+        optimized, reports = PassManager().run(cdfg, transforms, oracle=oracle)
 
     channel_plan: Optional[ChannelPlan] = None
     for report in reports:

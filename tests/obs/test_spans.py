@@ -1,26 +1,30 @@
-"""Span tracing: nesting, attributes and the perf bridge."""
+"""Span tracing: nesting, attributes, the bound and the timing view."""
 
 import pytest
 
-from repro import perf
+from repro import synthesize
+from repro.local_transforms import optimize_local
 from repro.obs.spans import (
+    SPAN_HISTORY,
     current_span,
     format_spans,
+    format_timings,
     reset_spans,
+    section_timings,
     set_attribute,
     span,
     spans,
     spans_to_dicts,
 )
+from repro.transforms import optimize_global
+from repro.workloads import build_diffeq_cdfg
 
 
 @pytest.fixture(autouse=True)
 def clean_registry():
     reset_spans()
-    perf.reset_timings()
     yield
     reset_spans()
-    perf.reset_timings()
 
 
 class TestSpans:
@@ -58,13 +62,14 @@ class TestSpans:
         assert spans() == []
 
     def test_perf_bridge_keeps_timings_working(self):
-        with span("global/GT1"):
+        """``--timings`` is the per-name aggregate of the spans."""
+        with span("global/GT1") as first:
             pass
-        with span("global/GT1"):
+        with span("global/GT1") as second:
             pass
-        timings = perf.section_timings()
+        timings = section_timings()
         assert timings["global/GT1"].calls == 2
-        assert timings["global/GT1"].total > 0.0
+        assert timings["global/GT1"].total == first.duration + second.duration
 
     def test_exception_still_records(self):
         with pytest.raises(RuntimeError):
@@ -113,4 +118,79 @@ class TestSpans:
         assert "proof/global/GT1" in names and "proof/local/LT1" in names
         local = next(s for s in proofs if s.name.startswith("proof/local/"))
         assert local.attributes["machine"]
-        assert "proof/local/LT1" in perf.section_timings()
+        assert "proof/local/LT1" in section_timings()
+
+
+class TestBound:
+    def test_registry_keeps_the_newest_span_history(self):
+        for index in range(SPAN_HISTORY + 10):
+            with span(f"filler/{index}"):
+                pass
+        recorded = spans()
+        assert len(recorded) == SPAN_HISTORY
+        assert recorded[0].name == "filler/10"
+        assert recorded[-1].name == f"filler/{SPAN_HISTORY + 9}"
+        timings = section_timings()
+        assert len(timings) == SPAN_HISTORY
+        assert "filler/9" not in timings
+        assert sum(stat.total for stat in timings.values()) == sum(
+            entry.duration for entry in recorded
+        )
+
+
+class TestTimedSections:
+    def test_accumulates_calls_and_time(self):
+        for __ in range(3):
+            with span("unit-test"):
+                pass
+        stat = section_timings()["unit-test"]
+        assert stat.calls == 3
+        assert stat.total >= 0.0
+        assert stat.mean == pytest.approx(stat.total / 3)
+
+    def test_records_even_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with span("explodes"):
+                raise RuntimeError("boom")
+        assert section_timings()["explodes"].calls == 1
+
+    def test_reset_clears(self):
+        with span("something"):
+            pass
+        reset_spans()
+        assert section_timings() == {}
+
+    def test_format_timings_empty_and_nonempty(self):
+        assert "no timed sections" in format_timings()
+        with span("alpha"):
+            pass
+        table = format_timings()
+        assert "alpha" in table and "calls" in table
+
+
+class TestPerPassTimings:
+    def test_global_passes_report_duration(self):
+        result = optimize_global(build_diffeq_cdfg())
+        assert all(report.duration >= 0.0 for report in result.reports)
+        sections = section_timings()
+        for name in ("global/GT1", "global/GT5", "global/check_well_formed"):
+            assert sections[name].calls >= 1
+
+    def test_local_passes_report_duration(self):
+        design = synthesize(build_diffeq_cdfg(), local_transforms=())
+        result = optimize_local(design)
+        assert result.reports
+        assert all(report.duration >= 0.0 for report in result.reports)
+        assert section_timings()["local/LT4"].calls >= 1
+
+    def test_duration_in_summary(self):
+        result = optimize_global(build_diffeq_cdfg())
+        report = result.reports[0]
+        report.duration = 0.123
+        assert "[0.123s]" in report.summary()
+
+    def test_timings_table_lists_the_check_passes(self):
+        synthesize("gcd")
+        table = format_timings()
+        assert "global/check_well_formed" in table
+        assert "local/check_machine" in table

@@ -1,46 +1,6 @@
-"""The profiling hooks and cache switch in :mod:`repro.perf`."""
+"""The analysis-cache switch in :mod:`repro.perf`."""
 
-import pytest
-
-from repro import perf, synthesize
-from repro.local_transforms import optimize_local
-from repro.transforms import optimize_global
-from repro.workloads import build_diffeq_cdfg
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    perf.reset_timings()
-    yield
-    perf.reset_timings()
-
-
-class TestTimedSections:
-    def test_accumulates_calls_and_time(self):
-        for __ in range(3):
-            with perf.timed_section("unit-test"):
-                pass
-        stat = perf.section_timings()["unit-test"]
-        assert stat.calls == 3
-        assert stat.total >= 0.0
-        assert stat.mean == pytest.approx(stat.total / 3)
-
-    def test_records_even_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with perf.timed_section("explodes"):
-                raise RuntimeError("boom")
-        assert perf.section_timings()["explodes"].calls == 1
-
-    def test_reset_clears(self):
-        perf.record_duration("something", 0.5)
-        perf.reset_timings()
-        assert perf.section_timings() == {}
-
-    def test_format_timings_empty_and_nonempty(self):
-        assert "no timed sections" in perf.format_timings()
-        perf.record_duration("alpha", 0.25)
-        table = perf.format_timings()
-        assert "alpha" in table and "calls" in table
+from repro import perf
 
 
 class TestCacheSwitch:
@@ -54,29 +14,3 @@ class TestCacheSwitch:
                 assert not perf.caching_enabled()
             assert not perf.caching_enabled()
         assert perf.caching_enabled()
-
-    def test_set_caching_returns_previous(self):
-        assert perf.set_caching(False) is True
-        assert perf.set_caching(True) is False
-
-
-class TestPerPassTimings:
-    def test_global_passes_report_duration(self):
-        result = optimize_global(build_diffeq_cdfg())
-        assert all(report.duration >= 0.0 for report in result.reports)
-        sections = perf.section_timings()
-        for name in ("global/GT1", "global/GT5", "global/check_well_formed"):
-            assert sections[name].calls >= 1
-
-    def test_local_passes_report_duration(self):
-        design = synthesize(build_diffeq_cdfg(), local_transforms=())
-        result = optimize_local(design)
-        assert result.reports
-        assert all(report.duration >= 0.0 for report in result.reports)
-        assert perf.section_timings()["local/LT4"].calls >= 1
-
-    def test_duration_in_summary(self):
-        result = optimize_global(build_diffeq_cdfg())
-        report = result.reports[0]
-        report.duration = 0.123
-        assert "[0.123s]" in report.summary()

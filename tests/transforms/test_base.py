@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cdfg import Cdfg
-from repro.errors import TransformError
+from repro.errors import TransformError, ValidationError
 from repro.transforms import (
     MergeAssignmentNodes,
     PassManager,
@@ -26,6 +26,16 @@ class _BreakOrdering(Transform):
         return TransformReport(self.name, applied=True)
 
 
+class _DropEnd(Transform):
+    """Deliberately leaves the graph without an END node (for testing)."""
+
+    name = "drop-end"
+
+    def apply(self, cdfg: Cdfg) -> TransformReport:
+        cdfg.remove_node(cdfg.end.name)
+        return TransformReport(self.name, applied=True)
+
+
 class TestPassManager:
     def test_runs_on_a_copy(self, diffeq):
         manager = PassManager()
@@ -36,9 +46,28 @@ class TestPassManager:
         assert len(reports) == 1
 
     def test_checked_mode_validates(self, diffeq):
-        manager = PassManager(checked=True)
+        manager = PassManager()
         result, __ = manager.run(diffeq, [RemoveDominatedConstraints(), MergeAssignmentNodes()])
         assert result is not diffeq
+        with pytest.raises(ValidationError, match="END"):
+            manager.run(diffeq, [_DropEnd()])
+
+    def test_oracle_sees_each_pass_input_and_result(self, diffeq):
+        """Pass 1's ``before`` is the caller's graph, pass k's is pass
+        k-1's result, and the caller's graph is never mutated."""
+        seen = []
+        generation, arcs = diffeq.generation, diffeq.arc_count()
+        result, __ = PassManager().run(
+            diffeq,
+            [RemoveDominatedConstraints(), MergeAssignmentNodes()],
+            oracle=lambda report, before, after: seen.append((before, after)),
+        )
+        (first_before, first_after), (second_before, second_after) = seen
+        assert first_before is diffeq
+        assert second_before is first_after
+        assert second_after is result
+        assert first_after is not diffeq and second_after is not first_after
+        assert (diffeq.generation, diffeq.arc_count()) == (generation, arcs)
 
 
 class TestPrecedenceChecking:
@@ -48,15 +77,15 @@ class TestPrecedenceChecking:
         assert check_precedence_preserved(diffeq, after) == []
 
     def test_lost_ordering_detected(self, diffeq):
-        manager = PassManager(checked=False)
-        after, __ = manager.run(diffeq, [_BreakOrdering()])
+        after = diffeq.copy()
+        _BreakOrdering().apply(after)
         missing = check_precedence_preserved(diffeq, after, allow_missing=True)
         assert missing
         assert any(src.startswith("M1 := A * B") for src, __ in missing)
 
     def test_raises_unless_allowed(self, diffeq):
-        manager = PassManager(checked=False)
-        after, __ = manager.run(diffeq, [_BreakOrdering()])
+        after = diffeq.copy()
+        _BreakOrdering().apply(after)
         with pytest.raises(TransformError):
             check_precedence_preserved(diffeq, after)
 
