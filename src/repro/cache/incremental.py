@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.afsm.extract import DistributedDesign, extract_controllers
 from repro.cache.fingerprint import (
+    fingerprint_cdfg,
     fingerprint_content,
     fingerprint_delays,
     fingerprint_machine,
@@ -55,8 +56,41 @@ from repro.obs.causal import EventTrace, bottleneck_label, critical_path
 from repro.obs.spans import span
 from repro.sim.seeding import NOMINAL
 from repro.sim.system import simulate_system
+from repro.sim.token_sim import simulate_tokens
 from repro.timing.delays import DelayModel
 from repro.transforms.scripts import STANDARD_SEQUENCE, apply_transform
+
+#: generation tag of golden records; bump when the NOMINAL token
+#: simulation or the record layout changes what a golden holds
+GOLDEN_GENERATION = "g1"
+
+
+def golden_registers(
+    cdfg: Cdfg,
+    cache: Optional[ArtifactCache] = None,
+    fingerprint: Optional[str] = None,
+) -> Dict[str, float]:
+    """The golden register file: ``cdfg``'s NOMINAL token simulation.
+
+    The golden uses the default delays at the NOMINAL seed, so it is a
+    function of the graph's content alone (inputs and initial registers
+    included).  With a ``cache`` it is served from a record under
+    ``golden:<generation>:<fingerprint_cdfg(cdfg)>`` and simulated (then
+    put) only on a miss; pass ``fingerprint`` when the caller already
+    holds the graph's :func:`~repro.cache.fingerprint.fingerprint_cdfg`.
+    The record is an ordered list of ``[register, value]`` pairs: the
+    conformance stamp names the *first* mismatching register in golden
+    order, so a served golden iterates in simulation order.
+    """
+    if cache is None:
+        return simulate_tokens(cdfg, seed=NOMINAL).registers
+    key = make_key("golden", GOLDEN_GENERATION, fingerprint or fingerprint_cdfg(cdfg))
+    record = cache.get(key)
+    if record is None:
+        registers = simulate_tokens(cdfg, seed=NOMINAL).registers
+        cache.put(key, {"registers": [[name, value] for name, value in registers.items()]})
+        return registers
+    return dict(record["registers"])
 
 
 @dataclass

@@ -61,7 +61,7 @@ from repro.cache.fingerprint import (
     fingerprint_delays,
     fingerprint_registers,
 )
-from repro.cache.store import make_key
+from repro.cache.store import ArtifactCache, make_key
 from repro.cdfg.builder import CdfgBuilder
 from repro.cdfg.graph import Cdfg
 from repro.errors import SpaceError
@@ -462,18 +462,24 @@ class ParameterSpace:
 
     def contexts(self) -> Iterator[SpaceContext]:
         """Realize every context: build the CDFG, the delay model, the
-        golden register file and the content-addressed context key."""
-        from repro.sim.seeding import NOMINAL
-        from repro.sim.token_sim import simulate_tokens
+        golden register file and the content-addressed context key.
 
+        The golden is a NOMINAL simulation under the default delays, so
+        it depends on the scenario's CDFG alone: it is simulated once
+        per distinct graph, not once per delay variant and seed.
+        """
+        from repro.cache.incremental import golden_registers
+
+        goldens = ArtifactCache()
         index = 0
         for scenario_index, scenario in enumerate(self.scenarios):
             for variant in self.delay_variants:
                 delays = variant.build()
                 for seed_spec in self.seeds:
                     cdfg = scenario.build()
+                    cdfg_fp = fingerprint_cdfg(cdfg)
                     golden = (
-                        simulate_tokens(cdfg, seed=NOMINAL).registers
+                        golden_registers(cdfg, goldens, cdfg_fp)
                         if self.verify
                         else None
                     )
@@ -490,7 +496,7 @@ class ParameterSpace:
                     context.key = make_key(
                         "ctx",
                         KEY_GENERATION,
-                        fingerprint_cdfg(cdfg),
+                        cdfg_fp,
                         fingerprint_delays(delays),
                         context.seed_key,
                         fingerprint_registers(golden),

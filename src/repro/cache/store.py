@@ -105,7 +105,8 @@ class ArtifactCache:
     ``directory=None`` keeps the cache purely in-process (still useful:
     the incremental engine shares records within one run).  With a
     directory, :meth:`load` merges the persisted records in and
-    :meth:`save` writes the union back atomically.
+    :meth:`save` writes the union back atomically, or does nothing
+    when no record is new.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None, filename: str = "explore.json"):
@@ -116,6 +117,8 @@ class ArtifactCache:
         self.misses = 0
         self.stores = 0
         self.loaded_entries = 0
+        #: a put changed a record since construction or the last save
+        self._dirty = False
         if self.directory is not None:
             self.load()
 
@@ -171,6 +174,12 @@ class ArtifactCache:
     def save(self, merge: bool = True) -> Optional[Path]:
         """Atomically persist every record; no-op without a directory.
 
+        When no :meth:`put` changed a record since the cache was opened
+        (or last saved) and the mirror file exists, there is nothing new
+        to write: the call returns without locking, reading or writing,
+        so a fully warm sweep leaves the file's bytes and mtime alone.
+        A first save still creates the file, empty cache or not.
+
         With ``merge`` (the default), the current on-disk entries are
         re-read under an advisory lock and unioned in first (memory
         wins on key collisions — irrelevant in practice, since keys are
@@ -181,6 +190,8 @@ class ArtifactCache:
         path = self.path
         if path is None:
             return None
+        if not self._dirty and path.exists():
+            return path
         path.parent.mkdir(parents=True, exist_ok=True)
         with file_lock(path):
             entries = dict(self.memory)
@@ -205,6 +216,7 @@ class ArtifactCache:
                 except OSError:
                     pass
                 raise
+        self._dirty = False
         return path
 
     # ------------------------------------------------------------------
@@ -217,7 +229,9 @@ class ArtifactCache:
         return record
 
     def put(self, key: str, record: dict) -> dict:
-        self.memory[key] = record
+        if self.memory.get(key) != record:
+            self.memory[key] = record
+            self._dirty = True
         self.stores += 1
         return record
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdfg.graph import Cdfg
-from repro.sim.seeding import NOMINAL
-from repro.sim.token_sim import simulate_tokens
 from repro.timing.delays import DelayModel
 
 
@@ -215,9 +213,10 @@ def explore_design_space(
     evaluations are content-addressed.  Pass an
     :class:`~repro.cache.ArtifactCache` via ``cache`` (or just a
     ``cache_dir`` path) to persist the memo across runs — warm sweeps
-    are then near-instant and bit-identical to cold ones.  Every point
-    is bit-identical to an independent per-point evaluation (the test
-    suite's oracle).
+    are then near-instant and bit-identical to cold ones: a fully warm
+    sweep runs no simulation and does not rewrite the cache file.
+    Every point is bit-identical to an independent per-point
+    evaluation (the test suite's oracle).
 
     The sweep is serial.  For a parallel one, describe the grid as a
     :class:`~repro.cache.space.ParameterSpace` and run it with
@@ -228,8 +227,10 @@ def explore_design_space(
 
     With ``verify`` (the default) every point is conformance-stamped:
     a nominal token simulation of the untransformed CDFG supplies the
-    golden register file once, and each configuration must reproduce it
-    under the per-pass oracles with zero violations or hazards —
+    golden register file once (served from the cache, when there is
+    one, by :func:`~repro.cache.incremental.golden_registers`), and
+    each configuration must reproduce it under the per-pass oracles
+    with zero violations or hazards —
     non-conformant points survive in the result, flagged via
     :attr:`DesignPoint.conformant` / :attr:`DesignPoint.conformance`.
 
@@ -246,7 +247,7 @@ def explore_design_space(
     ``SIGALRM``; the deadline is then skipped with a one-time
     warning).
     """
-    from repro.cache.incremental import IncrementalExplorer
+    from repro.cache.incremental import IncrementalExplorer, golden_registers
     from repro.cache.space import default_gt_grid, default_lt_grid
     from repro.cache.store import ArtifactCache
 
@@ -264,7 +265,7 @@ def explore_design_space(
         delays=delays,
         seed=seed,
         reference=reference,
-        golden=simulate_tokens(cdfg, seed=NOMINAL).registers if verify else None,
+        golden=golden_registers(cdfg, store) if verify else None,
         cache=store,
         fault_injector=fault_injector,
         point_timeout=point_timeout,

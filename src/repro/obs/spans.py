@@ -6,11 +6,15 @@ per-instance attributes (arcs removed, machine name, workload);
 :func:`section_timings` aggregates them per name on demand, which is
 what ``repro synthesize --timings`` prints (:func:`format_timings`).
 
-The registry is process-global and single-threaded: a worker process
-in ``explore --workers`` collects its own spans independently.  It
-keeps only the newest :data:`SPAN_HISTORY` spans, oldest dropped
-first, so a long-lived process (a sweep, a shard or serve worker,
-``repro serve`` itself) stays bounded without trimming anything.
+The registry is process-global: a worker process in ``explore
+--workers`` collects its own spans independently.  Nesting is per
+thread: each thread keeps its own stack of open spans, so a span's
+depth, :func:`current_span` and :func:`set_attribute` only ever see the
+calling thread's spans, while the retained spans of every thread share
+one registry.  It keeps only the newest :data:`SPAN_HISTORY` spans,
+oldest dropped first, so a long-lived process (a sweep, a shard or
+serve worker, ``repro serve`` itself) stays bounded without trimming
+anything.
 
 >>> from repro.obs.spans import reset_spans, section_timings, span, spans
 >>> reset_spans()
@@ -27,6 +31,7 @@ first, so a long-lived process (a sweep, a shard or serve worker,
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -83,37 +88,48 @@ class SectionStat:
         return self.total / self.calls if self.calls else 0.0
 
 
+class _OpenSpans(threading.local):
+    """The calling thread's stack of open spans."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
 _spans: Deque[Span] = deque(maxlen=SPAN_HISTORY)
-_stack: List[Span] = []
+_open = _OpenSpans()
 
 
 @contextmanager
 def span(name: str, **attributes: object) -> Iterator[Span]:
     """Open a span; its duration is filled in on exit."""
+    stack = _open.stack
     entry = Span(
         name=name,
         start=time.perf_counter(),
-        depth=len(_stack),
+        depth=len(stack),
         attributes=dict(attributes),
     )
     _spans.append(entry)  # appended at entry: pre-order (parents first)
-    _stack.append(entry)
+    stack.append(entry)
     try:
         yield entry
     finally:
-        _stack.pop()
+        stack.pop()
         entry.duration = time.perf_counter() - entry.start
 
 
 def current_span() -> Optional[Span]:
-    """The innermost open span, if any."""
-    return _stack[-1] if _stack else None
+    """The calling thread's innermost open span, if any."""
+    stack = _open.stack
+    return stack[-1] if stack else None
 
 
 def set_attribute(key: str, value: object) -> None:
-    """Attach ``key=value`` to the innermost open span (no-op outside)."""
-    if _stack:
-        _stack[-1].attributes[key] = value
+    """Attach ``key=value`` to the calling thread's innermost open span
+    (no-op outside)."""
+    stack = _open.stack
+    if stack:
+        stack[-1].attributes[key] = value
 
 
 def spans() -> List[Span]:

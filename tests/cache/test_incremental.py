@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cache import ArtifactCache
-from repro.cache.incremental import IncrementalExplorer, assemble_point
+from repro.cache.incremental import IncrementalExplorer, assemble_point, golden_registers
 from repro.explore import explore_design_space
 from repro.sim.seeding import NOMINAL
 from repro.sim.token_sim import simulate_tokens
@@ -141,6 +141,41 @@ class TestWarmCache:
             cache_dir=str(tmp_path / "cache"),
         )
         assert tweaked.stats["evaluations"] > 0
+
+    def test_warm_sweep_simulates_no_tokens(self, diffeq, tmp_path, monkeypatch):
+        """The golden register file comes from the cache record, so a
+        fully warm sweep runs no token simulation at all."""
+        _sweep(diffeq, cache_dir=str(tmp_path / "cache"))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate_tokens(*args, **kwargs)
+
+        for module in ("repro.cache.incremental", "repro.sim.token_sim", "repro.verify.flow"):
+            monkeypatch.setattr(f"{module}.simulate_tokens", counting)
+        warm = _sweep(diffeq, cache_dir=str(tmp_path / "cache"))
+        assert calls == []
+        assert warm.stats["cache"]["misses"] == 0
+
+    def test_warm_sweep_leaves_the_mirror_untouched(self, diffeq, tmp_path):
+        _sweep(diffeq, cache_dir=str(tmp_path / "cache"))
+        path = tmp_path / "cache" / "explore.json"
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        _sweep(diffeq, cache_dir=str(tmp_path / "cache"))
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+    def test_golden_round_trips_in_simulation_order(self, diffeq, tmp_path):
+        simulated = simulate_tokens(diffeq, seed=NOMINAL).registers
+        cold = ArtifactCache(str(tmp_path))
+        assert list(golden_registers(diffeq, cold).items()) == list(simulated.items())
+        cold.save()
+        warm = ArtifactCache(str(tmp_path))
+        served = golden_registers(diffeq, warm)
+        assert warm.stats()["hits"] == 1
+        assert list(served.items()) == list(simulated.items())
+        # the order is simulation order, not the sorted order of a key
+        assert list(simulated) != sorted(simulated)
 
     def test_shared_cache_object(self, diffeq):
         cache = ArtifactCache()  # purely in-process

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.cache.fingerprint import fingerprint_cdfg, fingerprint_delays, fingerprint_registers
 from repro.cache.space import (
+    KEY_GENERATION,
     DelayVariant,
     ParameterSpace,
     Scenario,
@@ -14,6 +16,7 @@ from repro.cache.space import (
     random_cdfg,
     random_program,
 )
+from repro.cache.store import make_key
 from repro.errors import SpaceError
 from repro.sim.seeding import NOMINAL
 from repro.sim.token_sim import simulate_tokens
@@ -203,6 +206,41 @@ def test_contexts_are_scenario_major_and_counted():
     assert len(contexts) == space.context_count == 8
     assert [c.scenario_index for c in contexts] == [0] * 4 + [1] * 4
     assert [c.index for c in contexts] == list(range(8))
+
+
+def test_contexts_simulate_one_golden_per_scenario(monkeypatch):
+    """The golden is a NOMINAL default-delay simulation, so delay
+    variants and seeds of one scenario share it; keys are unchanged."""
+    calls = []
+
+    def counting(cdfg, **kwargs):
+        calls.append(cdfg.name)
+        return simulate_tokens(cdfg, **kwargs)
+
+    monkeypatch.setattr("repro.cache.incremental.simulate_tokens", counting)
+    space = ParameterSpace.from_dict(
+        {
+            "scenarios": [{"workload": "gcd"}, {"random": 1}],
+            "delays": [{"name": "nominal"}, {"name": "x2", "scale": 2.0}],
+            "seeds": [9, 11],
+            "gt": [[]],
+            "lt": [[]],
+        }
+    )
+    contexts = list(space.contexts())
+    assert len(contexts) == 8
+    assert len(calls) == 2
+    for ctx in contexts:
+        golden = simulate_tokens(ctx.cdfg, seed=NOMINAL).registers
+        assert list(ctx.golden.items()) == list(golden.items())
+        assert ctx.key == make_key(
+            "ctx",
+            KEY_GENERATION,
+            fingerprint_cdfg(ctx.cdfg),
+            fingerprint_delays(ctx.delays),
+            ctx.seed_key,
+            fingerprint_registers(golden),
+        )
 
 
 def test_bench_space_shape():

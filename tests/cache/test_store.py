@@ -23,6 +23,25 @@ class TestRoundTrip:
         assert again.get("k1") == {"makespan": 40.5}
         assert again.loaded_entries == 1
 
+    def test_first_save_of_an_empty_cache_creates_the_file(self, tmp_path):
+        path = ArtifactCache(str(tmp_path / "cache")).save()
+        assert path == tmp_path / "cache" / "explore.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == {"entries": {}, "version": 1}
+
+    def test_save_without_new_records_writes_nothing(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        cache.put("k1", {"makespan": 40.5})
+        path = cache.save()
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        again = ArtifactCache(str(tmp_path))
+        again.put("k1", {"makespan": 40.5})  # an unchanged record is not new
+        again.save()
+        again.save()
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        again.put("k2", {"makespan": 1.0})
+        again.save()
+        assert set(json.loads(path.read_text(encoding="utf-8"))["entries"]) == {"k1", "k2"}
+
     def test_missing_file_is_cold(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         assert cache.load() == 0

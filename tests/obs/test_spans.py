@@ -1,5 +1,7 @@
 """Span tracing: nesting, attributes, the bound and the timing view."""
 
+import threading
+
 import pytest
 
 from repro import synthesize
@@ -119,6 +121,46 @@ class TestSpans:
         local = next(s for s in proofs if s.name.startswith("proof/local/"))
         assert local.attributes["machine"]
         assert "proof/local/LT1" in section_timings()
+
+
+class TestThreads:
+    def test_each_thread_nests_its_own_spans(self):
+        """Two threads interleave 200 ``outer`` > ``inner`` pairs each:
+        depths stay 0/1 and ``current_span()`` is the thread's own."""
+        pairs = 200
+        barrier = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def worker(tag):
+            try:
+                for index in range(pairs):
+                    with span("outer", thread=tag) as outer:
+                        barrier.wait()
+                        assert current_span() is outer
+                        with span("inner", thread=tag) as inner:
+                            barrier.wait()
+                            assert current_span() is inner
+                            set_attribute("index", index)
+                        barrier.wait()
+                        assert current_span() is outer
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=worker, args=(tag,)) for tag in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[0]
+        recorded = spans()
+        assert len(recorded) == 4 * pairs
+        depths = {"outer": 0, "inner": 1}
+        assert [s for s in recorded if s.depth != depths[s.name]] == []
+        for tag in "ab":
+            inner = [s for s in recorded if s.name == "inner" and s.attributes["thread"] == tag]
+            assert [s.attributes["index"] for s in inner] == list(range(pairs))
+        assert current_span() is None
 
 
 class TestBound:
