@@ -14,8 +14,12 @@ advisory lock — so concurrent shard benches or parallel CI jobs
 serialize their appends and can never leave a torn or half-merged
 history behind.
 
-The implementation lives in :mod:`repro.bench` (so the ``repro bench``
-CLI shares it); this module re-exports it for the benchmark scripts.
+The implementation lives in :mod:`repro.bench`, the ledger every
+benchmark writes through; this module re-exports it for the benchmark
+scripts.  A file that cannot be parsed is quarantined as
+``BENCH_scaling.json.corrupt-<stamp>`` before a fresh one is started.
+Timings of the ``BENCHMARK.json`` workloads come from ``bench/run.py``
+and ``bench/compare.py``.
 """
 
-from repro.bench import Metric, RESULTS_PATH, compare_last, record  # noqa: F401
+from repro.bench import Metric, RESULTS_PATH, record  # noqa: F401

@@ -51,9 +51,5 @@ class Signal:
     #: samples).
     guards_condition: bool = False
 
-    @property
-    def is_local(self) -> bool:
-        return self.kind in (SignalKind.LOCAL_REQ, SignalKind.LOCAL_ACK)
-
     def __str__(self) -> str:
         return self.name

@@ -99,10 +99,6 @@ class Arc:
         """Identity of the arc inside a graph: its endpoints."""
         return (self.src, self.dst)
 
-    def with_tags(self, tags: FrozenSet[ArcTag]) -> "Arc":
-        """Return a copy of the arc with a different tag set."""
-        return Arc(self.src, self.dst, tags, backward=self.backward, label=self.label)
-
     def merged_with(self, other: "Arc") -> "Arc":
         """Union the tags of two parallel arcs (same endpoints).
 

@@ -15,7 +15,7 @@ the paper, where one drawn arc can be "a register allocation constraint
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cdfg.arc import Arc, ArcRole
 from repro.cdfg.kinds import NodeKind
@@ -161,11 +161,6 @@ class Cdfg:
         self.node(name)
         return self._block_of[name]
 
-    def set_block_of(self, name: str, block: Optional[str]) -> None:
-        self.node(name)
-        self.invalidate_analyses()
-        self._block_of[name] = block
-
     def branch_of(self, name: str) -> Optional[str]:
         """Branch ("then"/"else") of a node directly inside an IF block."""
         self.node(name)
@@ -280,9 +275,6 @@ class Cdfg:
             for arc in self._arcs.values()
             if not arc.backward and not self.is_iterate_arc(arc)
         ]
-
-    def forward_successors(self, name: str) -> List[str]:
-        return [arc.dst for arc in self.arcs_from(name) if not arc.backward and not self.is_iterate_arc(arc)]
 
     def reachable_from(
         self,

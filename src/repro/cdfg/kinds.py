@@ -37,10 +37,5 @@ class NodeKind(enum.Enum):
         """True for nodes that close a block (ENDLOOP, ENDIF)."""
         return self in (NodeKind.ENDLOOP, NodeKind.ENDIF)
 
-    @property
-    def is_structural(self) -> bool:
-        """True for every kind except OPERATION."""
-        return self is not NodeKind.OPERATION
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -14,8 +14,7 @@ Commands
 ``trace``       stream the same observability data as JSONL
 ``explore``     sweep transform subsets and print the Pareto frontier
                 (incremental + cached by default; see ``--no-cache``)
-``bench``       time the exploration sweep cold/warm and append the
-                result to ``BENCH_scaling.json``
+``serve``       run the crash-safe synthesis job server (HTTP/JSON)
 ``verify``      conformance-fuzz the flow against the golden reference;
                 with ``--proofs``, discharge the flow-equivalence proof
                 obligations instead and emit replayable certificates
@@ -30,7 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.afsm.extract import extract_controllers
 from repro.cdfg.dot import to_dot
@@ -587,164 +586,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return _report_sweep_tail(result, interrupted)
 
 
-def _compare_and_record(
-    args: argparse.Namespace, bench_name: str, wall: float, result: Dict, keys
-) -> None:
-    """``--compare`` against the last recorded run of ``bench_name``,
-    then (unless ``--no-record``) append this run with ``keys`` of
-    ``result`` as its metrics."""
-    from repro.bench import compare_last, record
-
-    comparison = compare_last(bench_name, wall, path=args.output)
-    if args.compare:
-        if comparison is None:
-            print("no prior run to compare against")
-        else:
-            direction = "slower" if comparison["ratio"] > 1 else "faster"
-            print(
-                f"vs last run ({comparison['previous_timestamp']}): "
-                f"{comparison['previous']:.3f}s -> {comparison['current']:.3f}s "
-                f"({comparison['ratio']:.2f}x, {direction})"
-            )
-    if not args.no_record:
-        metrics = {key: result[key] for key in keys if key in result}
-        entry = record(bench_name, wall, path=args.output, **metrics)
-        print(f"recorded {entry['bench']} ({entry['timestamp']})")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_explore_bench
-
-    if args.sim:
-        return _cmd_bench_sim(args)
-    if args.explore:
-        return _cmd_bench_scaling(args)
-    if args.serve:
-        return _cmd_bench_serve(args)
-    bench_name = f"explore_incremental/{args.workload}"
-    result = run_explore_bench(args.workload, cache_dir=args.cache_dir)
-    for key in ("cold", "warm"):
-        print(f"{key:>18}: {result[key]:.3f}s")
-    print(f"{'speedup_warm':>18}: {result['speedup_warm']}x (cold / warm)")
-    print(
-        f"{'grid':>18}: {result['points']} points -> {result['evaluations']} "
-        f"evaluations over {result['edges']} trie edges"
-    )
-    print(f"{'identical':>18}: {result['identical']}")
-
-    _compare_and_record(
-        args, bench_name, result["cold"], result,
-        ("points", "evaluations", "edges", "warm", "speedup_warm", "identical"),
-    )
-    if args.check and not result["identical"]:
-        print("FAIL: cold and warm exploration results diverge")
-        return 1
-    return 0
-
-
-def _cmd_bench_scaling(args: argparse.Namespace) -> int:
-    """Sharded-exploration scaling benchmark (``bench --explore``)."""
-    from repro.bench import run_scaling_bench
-
-    bench_name = f"explore_sharded/{args.workload}/shards={args.shards}"
-    result = run_scaling_bench(
-        shards=args.shards,
-        workloads=(args.workload,),
-        check_resume=not args.no_resume_check,
-    )
-    print(f"{'space':>18}: {result['points']} points over {result['contexts']} contexts")
-    print(f"{'single-pool':>18}: {result['single_pool_wall']:.3f}s "
-          f"({result['pps_single']} points/s, serial per context)")
-    print(f"{'one shard':>18}: {result['one_shard_wall']:.3f}s")
-    effective = result.get("effective_shards", args.shards)
-    shard_label = f"{args.shards} shards"
-    if effective != args.shards:  # clamped to the host's available CPUs
-        shard_label += f" ({effective} effective)"
-    print(f"{'sharded':>18}: {result['sharded_wall']:.3f}s "
-          f"({result['pps_sharded']} points/s, {shard_label})")
-    print(f"{'memo gain':>18}: {result['memo_gain']}x (single-pool / one shard)")
-    print(f"{'parallel gain':>18}: {result['parallel_gain']}x "
-          f"(one shard / sharded; shard efficiency {result['shard_efficiency']})")
-    print(f"{'resume':>18}: {result['resume_wall']:.3f}s "
-          f"({result['resume_speedup']}x vs cold)")
-    if "identical_resume" in result:
-        print(f"{'killed-run resume':>18}: "
-              f"{'byte-identical' if result['identical_resume'] else 'DIVERGED'}")
-    print(f"{'identical':>18}: {result['identical']}")
-
-    _compare_and_record(
-        args, bench_name, result["sharded_wall"], result,
-        (
-            "points", "contexts", "shards", "effective_shards",
-            "single_pool_wall", "one_shard_wall", "pps_single", "pps_sharded",
-            "memo_gain", "parallel_gain", "shard_efficiency", "stolen_units",
-            "resume_wall", "resume_speedup", "identical", "identical_resume",
-        ),
-    )
-    if args.check and not result["identical"]:
-        print("FAIL: sharded and single-pool exploration results diverge")
-        return 1
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Duplicate-load test against a live job server (``bench --serve``)."""
-    from repro.bench import run_serve_bench
-
-    clients = args.clients
-    bench_name = f"serve_duplicate_load/{args.workload}/clients={clients}"
-    result = run_serve_bench(
-        clients=clients,
-        workload=args.workload,
-        workers=args.workers or 4,
-    )
-    print(f"{'clients':>18}: {result['clients']} duplicate submissions over HTTP")
-    print(f"{'submit latency':>18}: p50 {result['p50_ms']}ms, "
-          f"p99 {result['p99_ms']}ms, max {result['max_ms']}ms")
-    print(f"{'dedup':>18}: {result['dedup_hits']} hits / "
-          f"{result['submissions']} submissions "
-          f"(rate {result['dedup_hit_rate']}, {result['executions']} execution(s))")
-    print(f"{'wall':>18}: {result['wall']:.3f}s until every client had the result")
-    print(f"{'identical':>18}: {result['identical']}")
-
-    _compare_and_record(
-        args, bench_name, result["wall"], result,
-        (
-            "clients", "workers", "executor", "p50_ms", "p99_ms", "max_ms",
-            "dedup_hit_rate", "dedup_hits", "executions", "submissions",
-            "identical",
-        ),
-    )
-    if args.check:
-        if result["dedup_hit_rate"] < 0.9:
-            print(f"FAIL: dedup hit-rate {result['dedup_hit_rate']} below the 0.9 floor")
-            return 1
-        if not result["identical"]:
-            print("FAIL: clients observed diverging result documents")
-            return 1
-    return 0
-
-
-def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    from repro.bench import run_batched_sim_bench
-
-    bench_name = f"batched_sim/{args.workload}/trials={args.trials}"
-    result = run_batched_sim_bench(args.workload, trials=args.trials)
-    print(f"{'scalar':>18}: {result['scalar_wall']:.3f}s")
-    print(f"{'batched':>18}: {result['batched_wall']:.3f}s")
-    print(f"{'speedup':>18}: {result['speedup']}x")
-    print(f"{'identical':>18}: {result['identical']}")
-
-    _compare_and_record(
-        args, bench_name, result["batched_wall"], result,
-        ("scalar_wall", "batched_wall", "speedup", "identical", "trials"),
-    )
-    if args.check and not result["identical"]:
-        print("FAIL: scalar and batched campaign reports diverge")
-        return 1
-    return 0
-
-
 def _cmd_verify_replay(args: argparse.Namespace) -> int:
     """Re-derive a proof certificate file and byte-compare (``--replay``)."""
     import json
@@ -1131,88 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(deterministic killed-run drills; the journal stays resumable)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the exploration sweep and record BENCH_scaling.json"
-    )
-    bench.add_argument("workload", nargs="?", default="diffeq", choices=sorted(WORKLOADS))
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="job-server worker processes for --serve (default 4)",
-    )
-    bench.add_argument(
-        "--compare",
-        action="store_true",
-        help="print the regression ratio against the last recorded run",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if cold and warm results diverge (CI gate)",
-    )
-    bench.add_argument(
-        "--no-record",
-        action="store_true",
-        help="measure only; do not append to BENCH_scaling.json",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="results file (default BENCH_scaling.json at the repo root)",
-    )
-    bench.add_argument(
-        "--cache-dir",
-        default=None,
-        help="bench cache directory (WIPED before the cold run; default a temp dir)",
-    )
-    bench.add_argument(
-        "--sim",
-        action="store_true",
-        help="benchmark the batched max-plus simulation engine against "
-        "the scalar kernel on a full fault campaign instead of the "
-        "exploration sweep (--check fails on any report divergence)",
-    )
-    bench.add_argument(
-        "--trials",
-        type=int,
-        default=256,
-        help="randomized fault trials for --sim (default 256)",
-    )
-    bench.add_argument(
-        "--explore",
-        action="store_true",
-        help="benchmark sharded parameter-space exploration on a "
-        "1k-point space: memo gain (single-pool vs one shard), parallel "
-        "gain and shard efficiency (one shard vs N), points/sec and "
-        "resume speedups; --check fails on any result divergence",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shard count for --explore (default 4)",
-    )
-    bench.add_argument(
-        "--no-resume-check",
-        action="store_true",
-        help="skip the killed-run resume drill in --explore (faster)",
-    )
-    bench.add_argument(
-        "--serve",
-        action="store_true",
-        help="duplicate-load test against a live job server: N clients "
-        "submit the same job over HTTP; records submit-latency p50/p99 "
-        "and the dedup hit-rate (--check fails below the 0.9 floor or "
-        "on any result divergence)",
-    )
-    bench.add_argument(
-        "--clients",
-        type=int,
-        default=64,
-        help="concurrent HTTP clients for --serve (default 64)",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the crash-safe synthesis job server (HTTP/JSON)",
@@ -1386,7 +1145,6 @@ def main(argv: Optional[list] = None) -> int:
         "profile": _cmd_profile,
         "trace": _cmd_trace,
         "explore": _cmd_explore,
-        "bench": _cmd_bench,
         "verify": _cmd_verify,
         "faults": _cmd_faults,
         "serve": _cmd_serve,

@@ -87,18 +87,6 @@ class Schedule:
             ordered.extend(self.instances[cls])
         return tuple(ordered)
 
-    def max_parallelism(self) -> Dict[str, int]:
-        """Peak per-step instance usage of each class, over all runs."""
-        peak: Dict[str, int] = {}
-        for run in self.runs:
-            usage: Dict[Tuple[int, str], int] = {}
-            for op, step, __ in run:
-                key = (step, op.fu_class)
-                usage[key] = usage.get(key, 0) + 1
-            for (__, cls), count in usage.items():
-                peak[cls] = max(peak.get(cls, 0), count)
-        return peak
-
 
 class ListScheduler:
     """ALAP-slack priority-worklist scheduler under per-class bounds."""

@@ -40,11 +40,6 @@ def _all_signatures(machine: BurstModeMachine) -> Dict[str, Tuple]:
     return {name: tuple(pattern) for name, pattern in occurrences.items()}
 
 
-def _signature(machine: BurstModeMachine, signal_name: str) -> Tuple:
-    """Occurrence pattern of an output: (transition uid, direction)*."""
-    return _all_signatures(machine).get(signal_name, ())
-
-
 def _actions_of(signal: Signal) -> List[tuple]:
     if signal.action is None:
         return []

@@ -26,7 +26,6 @@ still settling when a dependent capture completes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -55,14 +54,6 @@ def _action_label(action: tuple) -> Optional[str]:
     if kind == "latch":
         return f"dp:latch:{action[1]}"
     return None
-
-
-@dataclass
-class _Flight:
-    """An in-progress datapath action (between req+ and completion)."""
-
-    kind: str
-    until: float
 
 
 class Datapath:

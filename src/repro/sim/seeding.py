@@ -82,9 +82,3 @@ def node_stream_seed(seed: int, name: str) -> int:
         f"{seed}:{name}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-def node_stream(seed: int, name: str) -> random.Random:
-    """A fresh :class:`random.Random` positioned at the start of the
-    ``(seed, name)`` substream (see :func:`node_stream_seed`)."""
-    return random.Random(node_stream_seed(seed, name))

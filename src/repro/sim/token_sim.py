@@ -182,12 +182,6 @@ class TokenSimulator:
                 return arc.src
         raise SimulationError(f"ENDIF {endif!r} has no decision arc")
 
-    def _loop_of_close(self, endloop: str) -> str:
-        for arc in self.cdfg.arcs_from(endloop):
-            if self.cdfg.node(arc.dst).kind is NodeKind.LOOP:
-                return arc.dst
-        raise SimulationError(f"ENDLOOP {endloop!r} has no iterate arc")
-
     # ------------------------------------------------------------------
     # enablement
     # ------------------------------------------------------------------

@@ -430,27 +430,3 @@ def test_journal_round_trip_filters_and_compacts(tmp_path):
 def test_journal_load_on_missing_directory_is_empty(tmp_path):
     assert ResultJournal(tmp_path / "nowhere").load() == {}
 
-
-# ----------------------------------------------------------------------
-# scaling bench (small space; the perf numbers are for `repro bench`)
-# ----------------------------------------------------------------------
-def test_run_scaling_bench_verdicts():
-    from repro.bench import run_scaling_bench
-
-    result = run_scaling_bench(
-        shards=2,
-        workloads=("diffeq",),
-        random_scenarios=0,
-        delay_scales=(1.0,),
-        check_resume=False,
-    )
-    assert result["points"] == 64
-    assert result["contexts"] == 1
-    assert result["identical"] is True  # both shard runs == single-pool, bit for bit
-    assert result["memo_gain"] > 0 and result["parallel_gain"] > 0
-    assert result["shard_efficiency"] == round(
-        result["parallel_gain"] / result["effective_shards"], 3
-    )
-    assert "speedup" not in result  # split into the two gains above
-    assert result["resume_speedup"] > 0
-    assert "identical_resume" not in result  # drill skipped on request

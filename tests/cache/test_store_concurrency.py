@@ -1,6 +1,6 @@
 """Concurrent writers against the artifact cache and the bench history.
 
-The shard runner and ``repro bench`` both append from multiple
+The shard runner and the benchmark scripts both append from multiple
 processes; the contracts under test:
 
 - concurrent ``ArtifactCache.save(merge=True)`` calls converge to the
@@ -12,13 +12,16 @@ processes; the contracts under test:
 - two loaders racing to quarantine the *same* corrupt mirror both
   proceed cold, and exactly one quarantine file preserves the evidence;
 - concurrent :func:`repro.bench.record` appenders all land in the
-  history (read-append-rename under the advisory lock).
+  history (read-append-rename under the advisory lock);
+- a history that cannot be parsed is quarantined, not overwritten.
 """
 
 import json
 import multiprocessing
 import warnings
 from pathlib import Path
+
+import pytest
 
 from repro.bench import record
 from repro.cache.store import ArtifactCache
@@ -129,3 +132,16 @@ def test_concurrent_bench_records_all_land(tmp_path):
     # every writer's appends survived, in its own order
     assert all(sorted(rounds) == list(range(ROUNDS)) for rounds in by_bench.values())
     assert len(by_bench) == WRITERS
+
+
+@pytest.mark.parametrize("garbage", ["{not json", '{"runs": 3}', "[1, 2]"])
+def test_corrupt_bench_history_is_quarantined_not_erased(tmp_path, garbage):
+    path = tmp_path / "BENCH_scaling.json"
+    path.write_text(garbage, encoding="utf-8")
+    with pytest.warns(RuntimeWarning, match="benchmark ledger"):
+        record("fresh", 0.5, path=path)
+    evidence = list(tmp_path.glob("BENCH_scaling.json.corrupt-*"))
+    assert len(evidence) == 1
+    assert evidence[0].read_text(encoding="utf-8") == garbage
+    history = json.loads(path.read_text(encoding="utf-8"))
+    assert [entry["bench"] for entry in history["runs"]] == ["fresh"]

@@ -6,6 +6,9 @@ blocking client — the same stack ``repro serve`` deploys, minus the
 process boundary (covered by ``benchmarks/serve_smoke.py``).
 """
 
+import concurrent.futures
+import threading
+
 import pytest
 
 from repro.resilience.pool import RetryPolicy
@@ -47,6 +50,30 @@ class TestHappyPath:
                 first["result"]
             )
             assert client.stats()["store"]["executions"] == 1
+
+    def test_concurrent_duplicate_burst_executes_once(self, tmp_path):
+        """64 clients submit the same job at once: dedup folds the burst
+        onto one execution and every client reads the same result."""
+        clients = 64
+        params = {"workload": "gcd", "level": "gt+lt"}
+        config = _config(workers=4, queue_depth=clients, client_cap=clients)
+        barrier = threading.Barrier(clients, timeout=60.0)
+
+        def one_client(index):
+            client = harness.client(timeout=120.0)
+            barrier.wait()
+            job = client.submit("synthesize", params, client=f"c{index:02d}")
+            if job["state"] != "DONE" or job.get("result") is None:
+                job = client.wait(job["job_id"], timeout=180.0)
+            return canonical_json(job.get("result"))
+
+        with ServerHarness(tmp_path / "s.sqlite3", config) as harness:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=clients) as pool:
+                results = list(pool.map(one_client, range(clients)))
+            store = harness.client().stats()["store"]
+        assert len(set(results)) == 1 and results[0] != "null"
+        assert store["executions"] == 1
+        assert store["dedup_hit_rate"] >= 0.9
 
     def test_bad_submission_is_400_with_taxonomy(self, tmp_path):
         with ServerHarness(tmp_path / "s.sqlite3", _config()) as harness:

@@ -85,32 +85,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Pareto-optimal" in out
 
-    def test_bench(self, tmp_path, capsys):
-        results = tmp_path / "bench.json"
-        args = [
-            "bench", "gcd", "--check",
-            "--output", str(results), "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(args + ["--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "identical: True" in out
-        assert "no prior run to compare" in out
-        for key in ("cold", "warm", "speedup_warm"):
-            assert f"{key}: " in out
-        assert results.exists()
-        import json
-
-        entry = json.loads(results.read_text(encoding="utf-8"))["runs"][0]
-        assert entry["bench"] == "explore_incremental/gcd"
-        assert set(entry["metrics"]) == {
-            "points", "evaluations", "edges", "warm", "speedup_warm", "identical",
-        }
-        assert entry["metrics"]["identical"] is True
-        assert entry["metrics"]["speedup_warm"] > 0
-        # a second run finds the recorded history to compare against
-        assert main(args + ["--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "vs last run" in out
+    def test_bench_is_an_unknown_command(self, capsys):
+        # timings come from bench/run.py; the CLI has no second harness
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_verify(self, capsys):
         assert main(["verify", "diffeq", "--runs", "3", "--seed", "0"]) == 0
@@ -516,51 +496,3 @@ class TestExploreSpaceCli:
         assert "FAILED points" in out
         assert "injected fault" in out
 
-
-class TestBenchExploreCli:
-    """bench --explore wiring (the measurement itself is canned)."""
-
-    CANNED = {
-        "points": 1024, "contexts": 16, "shards": 4, "effective_shards": 2,
-        "single_pool_wall": 60.0, "one_shard_wall": 25.0,
-        "sharded_wall": 20.0, "pps_single": 17.07, "pps_sharded": 51.2,
-        "memo_gain": 2.4, "parallel_gain": 1.25, "shard_efficiency": 0.625,
-        "stolen_units": 7, "resume_wall": 1.0, "resume_speedup": 20.0,
-        "identical": True, "identical_resume": True,
-    }
-
-    def test_scaling_bench_prints_and_records(self, tmp_path, monkeypatch, capsys):
-        import repro.bench
-
-        monkeypatch.setattr(
-            repro.bench, "run_scaling_bench", lambda **kwargs: dict(self.CANNED)
-        )
-        output = str(tmp_path / "bench.json")
-        assert main(
-            ["bench", "diffeq", "--explore", "--shards", "4", "--output", output]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "memo gain: 2.4x" in out
-        assert "parallel gain: 1.25x" in out
-        assert "shard efficiency 0.625" in out
-        assert "byte-identical" in out
-        assert "recorded explore_sharded/diffeq/shards=4" in out
-        import json
-        from pathlib import Path
-
-        history = json.loads(Path(output).read_text(encoding="utf-8"))
-        metrics = history["runs"][0]["metrics"]
-        assert metrics["memo_gain"] == 2.4
-        assert metrics["parallel_gain"] == 1.25
-        assert metrics["shard_efficiency"] == 0.625
-        assert "speedup" not in metrics
-
-    def test_check_fails_on_divergence(self, monkeypatch, capsys):
-        import repro.bench
-
-        diverged = dict(self.CANNED, identical=False)
-        monkeypatch.setattr(
-            repro.bench, "run_scaling_bench", lambda **kwargs: diverged
-        )
-        assert main(["bench", "diffeq", "--explore", "--check", "--no-record"]) == 1
-        assert "FAIL" in capsys.readouterr().out

@@ -221,7 +221,7 @@ class TestGT1LoneWriterSerialization:
 # ----------------------------------------------------------------------
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 6: GT5 merges a wire that GT1 double-books "
+    reason="ROADMAP item 4: GT5 merges a wire that GT1 double-books "
     "(refuted: flow[GT5]: occupancy)",
 )
 def test_random_program_584838435_gt1_gt5_is_proved():
@@ -257,7 +257,7 @@ def fuzzed(a: float = 0.5, b: float = 0.5):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 7: LT4+LT2 reorder u's writes across observables "
+    reason="ROADMAP item 1: LT4+LT2 reorder u's writes across observables "
     "(refuted: design[system]: schedules under delay seed 0)",
 )
 def test_overwritten_branch_kernel_is_proved(registered):
