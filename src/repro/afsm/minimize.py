@@ -131,14 +131,25 @@ def _equivalence_classes(machine: BurstModeMachine) -> Dict[str, str]:
     return representative
 
 
+def _flow_gate(before: BurstModeMachine, after: BurstModeMachine):
+    """:func:`~repro.verify.flow.machine_flow_obligations` of ``before``
+    against ``after``, leaving neither machine holding the flow index it
+    memoizes: callers keep both (a design's controllers, the quotient)."""
+    from repro.verify.flow import machine_flow_obligations
+
+    try:
+        return machine_flow_obligations(before, after)
+    finally:
+        for machine in (before, after):
+            machine.analysis_cache().pop(("MachineIndex",), None)
+
+
 def minimize_machine(
     machine: BurstModeMachine,
 ) -> Tuple[BurstModeMachine, MinimizeReport]:
     """Quotient ``machine`` by simulation equivalence, gated by the
     flow checker.  Returns ``(minimized-or-original, report)``; the
     input machine is never mutated."""
-    from repro.verify.flow import machine_flow_obligations
-
     report = MinimizeReport(
         machine=machine.name,
         before_states=machine.state_count,
@@ -174,7 +185,7 @@ def minimize_machine(
 
     # the gate: the quotient must be observationally flow-equivalent
     # and still a valid burst-mode machine
-    obligations = machine_flow_obligations(machine, work)[0]
+    obligations = _flow_gate(machine, work)[0]
     refuted = [o for o in obligations if not o.proved]
     if refuted:
         report.gate_failure = f"{refuted[0].name}: {refuted[0].detail}"
@@ -206,12 +217,7 @@ def minimize_design(
     stage :class:`~repro.verify.flow.FlowProof` per machine, refuted
     (and the original machine kept) when the gate rejects a quotient.
     """
-    from repro.verify.flow import (
-        FlowObligation,
-        FlowProof,
-        MachineIndex,
-        machine_flow_obligations,
-    )
+    from repro.verify.flow import FlowObligation, FlowProof, MachineIndex
 
     minimized = DistributedDesign(
         cdfg=design.cdfg, plan=design.plan, phases=design.phases
@@ -222,7 +228,7 @@ def minimize_design(
         machine, report = minimize_machine(controller.machine)
         reports.append(report)
         if report.applied:
-            obligations, counterexample, signature = machine_flow_obligations(
+            obligations, counterexample, signature = _flow_gate(
                 controller.machine, machine
             )
             proofs.append(

@@ -64,10 +64,10 @@ class MoveUp(LocalTransform):
                         continue
                     if edge.signal in target.input_burst.signals():
                         continue
-                    transition.output_burst = transition.output_burst.without_signal(
-                        edge.signal
+                    machine.set_output_burst(
+                        transition.uid, transition.output_burst.without_signal(edge.signal)
                     )
-                    target.output_burst = target.output_burst.adding(edge)
+                    machine.set_output_burst(target.uid, target.output_burst.adding(edge))
                     report.moved_edges.append(str(edge))
                     report.record(
                         "edge-moved-up", str(edge),

@@ -36,10 +36,13 @@ class MoveDown(LocalTransform):
                         continue
                     target = self._latest_position(machine, chain, position, edge)
                     if target > position:
-                        transition.output_burst = transition.output_burst.without_signal(
-                            edge.signal
+                        machine.set_output_burst(
+                            transition.uid,
+                            transition.output_burst.without_signal(edge.signal),
                         )
-                        chain[target].output_burst = chain[target].output_burst.adding(edge)
+                        machine.set_output_burst(
+                            chain[target].uid, chain[target].output_burst.adding(edge)
+                        )
                         report.moved_edges.append(str(edge))
                         report.record(
                             "edge-moved-down", str(edge),

@@ -106,9 +106,11 @@ class MuxPreselection(LocalTransform):
                         conflict = True
                 if conflict:
                     continue
-                source.output_burst = source.output_burst.without_signal(edge.signal)
+                machine.set_output_burst(
+                    source.uid, source.output_burst.without_signal(edge.signal)
+                )
                 for tail in tails:
-                    tail.output_burst = tail.output_burst.adding(edge)
+                    machine.set_output_burst(tail.uid, tail.output_burst.adding(edge))
                     report.note(
                         f"pre-selected {edge} of fragment {source.tags.get('node')} "
                         f"at end of fragment {tail.tags.get('node')}"

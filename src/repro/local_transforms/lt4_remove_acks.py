@@ -86,7 +86,9 @@ class RemoveAcknowledgments(LocalTransform):
             used = False
             for transition in machine.transitions():
                 if ack in transition.input_burst.signals():
-                    transition.input_burst = transition.input_burst.without_signal(ack)
+                    machine.set_input_burst(
+                        transition.uid, transition.input_burst.without_signal(ack)
+                    )
                     used = True
             machine.drop_signal(ack)
             if used:

@@ -97,12 +97,15 @@ class SignalSharing(LocalTransform):
                 rest_set = frozenset(rest)
                 for transition in machine.transitions():
                     if rest_set & transition.output_burst.signals():
-                        transition.output_burst = OutputBurst(
-                            tuple(
-                                edge
-                                for edge in transition.output_burst.edges
-                                if edge.signal not in rest_set
-                            )
+                        machine.set_output_burst(
+                            transition.uid,
+                            OutputBurst(
+                                tuple(
+                                    edge
+                                    for edge in transition.output_burst.edges
+                                    if edge.signal not in rest_set
+                                )
+                            ),
                         )
                 for name in rest:
                     machine.rename_signal(name, merged)

@@ -78,6 +78,12 @@ def optimize_machine(
     memoize locally-optimized controllers by machine fingerprint while
     sharing this exact code path.  Returns the rebuilt
     :class:`~repro.afsm.extract.Controller` and the per-pass reports.
+
+    Each pass's ``before`` snapshot is a copy, so it carries the
+    analyses memoized on the machine: the flow index that pass k-1's
+    proof built for its ``after`` serves pass k as its ``before``.
+    The returned machine holds no memoized analysis, because callers
+    may keep it for a whole sweep.
     """
     machine = machine.copy()
     reports: List[LocalReport] = []
@@ -107,6 +113,7 @@ def optimize_machine(
             oracle(report, snapshot, machine)
     machine.fold_trivial_states()
     machine.prune_unreachable()
+    machine.invalidate_analyses()
     controller = Controller(
         fu=fu,
         machine=machine,

@@ -6,9 +6,9 @@ Three facilities, threaded through the whole flow:
 - :mod:`repro.obs.provenance` — typed records of what each GT/LT pass
   changed (and why), exportable as JSONL;
 - :mod:`repro.obs.spans` — nested timed sections with attributes:
-  the program's one timing registry, bounded to the newest
-  :data:`~repro.obs.spans.SPAN_HISTORY` spans, whose per-name
-  aggregate is the ``--timings`` table;
+  the program's one timing registry, which keeps the newest
+  :data:`~repro.obs.spans.SPAN_HISTORY` spans and a per-name running
+  total of every span, the ``--timings`` table;
 - :mod:`repro.obs.causal` — a causal event log recorded by the
   simulation kernel, from which the makespan-critical path and
   per-operation slack are extracted.

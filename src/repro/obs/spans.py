@@ -2,9 +2,10 @@
 
 A *span* is a named, nested, timed section with attributes.  Spans
 preserve nesting (``optimize_global`` > ``global/GT3``) and
-per-instance attributes (arcs removed, machine name, workload);
-:func:`section_timings` aggregates them per name on demand, which is
-what ``repro synthesize --timings`` prints (:func:`format_timings`).
+per-instance attributes (arcs removed, machine name, workload).
+:func:`section_timings` reads per-name running totals that each span
+adds to as it closes, which is what ``repro synthesize --timings``
+prints (:func:`format_timings`).
 
 The registry is process-global: a worker process in ``explore
 --workers`` collects its own spans independently.  Nesting is per
@@ -14,7 +15,9 @@ calling thread's spans, while the retained spans of every thread share
 one registry.  It keeps only the newest :data:`SPAN_HISTORY` spans,
 oldest dropped first, so a long-lived process (a sweep, a shard or
 serve worker, ``repro serve`` itself) stays bounded without trimming
-anything.
+anything.  The totals count every span closed since the last
+:func:`reset_spans`, dropped ones too; they stay bounded because span
+names are templates (route templates, pass names), never raw data.
 
 >>> from repro.obs.spans import reset_spans, section_timings, span, spans
 >>> reset_spans()
@@ -31,6 +34,7 @@ anything.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -78,7 +82,7 @@ class Span:
 
 @dataclass
 class SectionStat:
-    """Aggregated wall time of the retained spans of one name."""
+    """Aggregated wall time of the spans of one name."""
 
     calls: int = 0
     total: float = 0.0
@@ -97,6 +101,18 @@ class _OpenSpans(threading.local):
 
 _spans: Deque[Span] = deque(maxlen=SPAN_HISTORY)
 _open = _OpenSpans()
+#: name -> running total of the spans closed since the last reset
+_totals: Dict[str, SectionStat] = {}
+_totals_lock = threading.Lock()
+
+
+def _fresh_lock_after_fork() -> None:
+    # a forked worker must not inherit a lock another thread held
+    global _totals_lock
+    _totals_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 @contextmanager
@@ -116,6 +132,12 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
     finally:
         stack.pop()
         entry.duration = time.perf_counter() - entry.start
+        with _totals_lock:
+            stat = _totals.get(name)
+            if stat is None:
+                stat = _totals[name] = SectionStat()
+            stat.calls += 1
+            stat.total += entry.duration
 
 
 def current_span() -> Optional[Span]:
@@ -138,7 +160,10 @@ def spans() -> List[Span]:
 
 
 def reset_spans() -> None:
-    """Clear the registry (open spans still fill in their duration)."""
+    """Clear the registry and the totals (open spans still fill in
+    their duration, and count when they close)."""
+    with _totals_lock:
+        _totals.clear()
     _spans.clear()
 
 
@@ -163,15 +188,12 @@ def format_spans() -> str:
 
 
 def section_timings() -> Dict[str, SectionStat]:
-    """The retained spans aggregated per name (name -> :class:`SectionStat`)."""
-    sections: Dict[str, SectionStat] = {}
-    for entry in _spans:
-        stat = sections.get(entry.name)
-        if stat is None:
-            stat = sections[entry.name] = SectionStat()
-        stat.calls += 1
-        stat.total += entry.duration
-    return sections
+    """Every span closed since the last reset, aggregated per name
+    (name -> :class:`SectionStat`), including spans the ring dropped."""
+    with _totals_lock:
+        return {
+            name: SectionStat(stat.calls, stat.total) for name, stat in _totals.items()
+        }
 
 
 def format_timings() -> str:

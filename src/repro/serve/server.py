@@ -32,8 +32,9 @@ template (``serve/GET /jobs/{id}``; anything unrouted is
 ``serve/unmatched``), so ``repro.obs`` tooling sees serving work the
 same way it sees synthesis passes — with a fixed set of section names,
 however many job IDs and junk paths clients send.  The span registry
-bounds itself (:data:`repro.obs.spans.SPAN_HISTORY`), so neither the
-server nor its pool workers trim anything.
+bounds itself: its ring keeps :data:`repro.obs.spans.SPAN_HISTORY`
+spans, and its per-name totals hold one entry per route template, so
+neither the server nor its pool workers trim anything.
 """
 
 from __future__ import annotations

@@ -49,9 +49,10 @@ become per-observable event streams: the *stream language* of each
 observable — every GLOBAL_READY wire (rise/fall events) and every
 datapath action (the rising local request that triggers it, resolved
 through LT5 wire merges) — must be preserved exactly.  Languages are
-compared by epsilon-free subset construction with a breadth-first
-product walk; a mismatch yields the shortest distinguishing event
-word.
+compared by epsilon-free subset construction: equal canonical subset
+tables mean equal languages, and where the tables differ a
+breadth-first product walk decides, yielding the shortest
+distinguishing event word on a mismatch.
 
 Every check emits a :class:`FlowProof` certificate; a workload-level
 :class:`FlowReport` (``repro verify --proofs``) aggregates them and
@@ -919,6 +920,31 @@ class _Projection:
 
 _ALPHABET: Dict[str, Tuple[str, ...]] = {"wire": ("+", "-"), "act": ("!",)}
 
+#: a canonical subset-construction table: row ``i`` holds, per alphabet
+#: symbol, the number of the subset reached from subset ``i`` (-1 for
+#: the empty subset); subsets are numbered in discovery order
+Table = Tuple[Tuple[int, ...], ...]
+
+
+def _subset_table(projection: _Projection, alphabet: Sequence[str]) -> Table:
+    numbering: Dict[FrozenSet[str], int] = {projection.initial: 0}
+    queue: List[FrozenSet[str]] = [projection.initial]
+    rows: List[Tuple[int, ...]] = []
+    for subset in queue:  # grows as new subsets are numbered
+        row: List[int] = []
+        for symbol in alphabet:
+            target = projection.step(subset, symbol)
+            if not target:
+                row.append(-1)
+                continue
+            number = numbering.get(target)
+            if number is None:
+                number = numbering[target] = len(queue)
+                queue.append(target)
+            row.append(number)
+        rows.append(tuple(row))
+    return tuple(rows)
+
 
 class MachineIndex:
     """One machine's transitions indexed once for the stream-language
@@ -930,10 +956,25 @@ class MachineIndex:
     Falling local edges and acknowledgments are unobservable — that is
     exactly the freedom LT1–LT4 exploit.
 
-    The index is a snapshot: machines are edited in place after they
-    are proved, so build a fresh one per check and never key one by
-    object identity.
+    The index is a snapshot of one generation of the machine.  Get it
+    through :meth:`of`, which memoizes it in the machine's
+    :meth:`~repro.afsm.machine.BurstModeMachine.analysis_cache`: any
+    edit of the machine advances its generation and drops the index,
+    and a copy of the machine carries it, because the copy has the same
+    content.  Each observable's canonical subset table is memoized too
+    (:meth:`table`).
     """
+
+    @classmethod
+    def of(cls, machine: BurstModeMachine) -> "MachineIndex":
+        """The index of ``machine``'s current generation, built once."""
+        if not perf.caching_enabled():
+            return cls(machine)
+        cache = machine.analysis_cache()
+        index = cache.get(("MachineIndex",))
+        if index is None:
+            index = cache[("MachineIndex",)] = cls(machine)
+        return index
 
     def __init__(self, machine: BurstModeMachine):
         self.initial_state = machine.initial_state
@@ -951,6 +992,11 @@ class MachineIndex:
             set(),
         )
         self.actions: Set[tuple] = set()
+        #: signal name -> (GLOBAL_READY?, actions its rising edge launches)
+        declared = {
+            signal.name: (signal.kind is SignalKind.GLOBAL_READY, _flatten_actions(signal))
+            for signal in machine.signals()
+        }
         for position, transition in enumerate(machine.transitions()):
             src, dst = transition.src, transition.dst
             self.successors.setdefault(src, []).append((position, dst))
@@ -963,14 +1009,13 @@ class MachineIndex:
             ):
                 for edge in burst.edges:
                     wires[edge.signal] = "+" if edge.rising else "-"
-                    try:
-                        signal = machine.signal(edge.signal)
-                    except Exception:  # noqa: BLE001 — undeclared wire
+                    kind = declared.get(edge.signal)
+                    if kind is None:  # undeclared wire
                         continue
-                    if signal.kind is SignalKind.GLOBAL_READY:
+                    if kind[0]:
                         self.global_edges[outputs].add((edge.signal, edge.rising))
                     if outputs and edge.rising:
-                        launched.update(_flatten_actions(signal))
+                        launched.update(kind[1])
             for name, symbol in wires.items():
                 self._events.setdefault(("wire", name), []).append(
                     (position, src, dst, symbol)
@@ -981,6 +1026,7 @@ class MachineIndex:
                 )
             self.actions |= launched
         self._projections: Dict[Observable, _Projection] = {}
+        self._tables: Dict[Observable, Table] = {}
 
     def projection(self, observable: Observable) -> _Projection:
         projection = self._projections.get(observable)
@@ -989,6 +1035,36 @@ class MachineIndex:
                 self, self._events.get(observable, ())
             )
         return projection
+
+    def same_graph(self, other: "MachineIndex") -> bool:
+        """Whether ``other`` has the same initial state and successor
+        lists: then an observable's projection depends only on its
+        events."""
+        return (
+            self.initial_state == other.initial_state
+            and self.successors == other.successors
+        )
+
+    def table(
+        self, observable: Observable, like: Optional["MachineIndex"] = None
+    ) -> Table:
+        """The canonical subset table of ``observable``'s projection.
+
+        ``like``, when given, must satisfy :meth:`same_graph`; the table
+        is then taken over from ``like`` wherever the observable's events
+        are equal too, because both projections are the same NFA."""
+        table = self._tables.get(observable)
+        if table is None:
+            if like is not None and self._events.get(observable) == like._events.get(
+                observable
+            ):
+                table = like.table(observable)
+            else:
+                table = _subset_table(
+                    self.projection(observable), _ALPHABET[observable[0]]
+                )
+            self._tables[observable] = table
+        return table
 
     def signature(self) -> Dict[str, Dict[str, object]]:
         """:func:`observable_signature` of every observable of the machine."""
@@ -1028,31 +1104,9 @@ def stream_language_counterexample(
 def observable_signature(
     index: MachineIndex, observable: Observable
 ) -> Dict[str, object]:
-    """Canonical DFA fingerprint of one observable's stream language
-    (discovery-order subset numbering makes it deterministic)."""
-    projection = index.projection(observable)
-    alphabet = _ALPHABET[observable[0]]
-    numbering: Dict[FrozenSet[str], int] = {}
-    table: List[List[int]] = []
-    queue: List[FrozenSet[str]] = []
-
-    def number(subset: FrozenSet[str]) -> int:
-        if subset not in numbering:
-            numbering[subset] = len(numbering)
-            table.append([])
-            queue.append(subset)
-        return numbering[subset]
-
-    number(projection.initial)
-    position = 0
-    while position < len(queue):
-        subset = queue[position]
-        row: List[int] = []
-        for symbol in alphabet:
-            target = projection.step(subset, symbol)
-            row.append(-1 if not target else number(target))
-        table[numbering[subset]] = row
-        position += 1
+    """Canonical DFA fingerprint of one observable's stream language:
+    a digest of its :meth:`MachineIndex.table`."""
+    table = index.table(observable)
     blob = json.dumps(table).encode("utf-8")
     return {
         "digest": hashlib.blake2b(blob, digest_size=8).hexdigest(),
@@ -1067,12 +1121,13 @@ def machine_flow_obligations(
 ]:
     """The machine-level flow obligations shared by the LT checks and
     the minimization gate; returns (obligations, counterexample,
-    signature of ``after``).  Each machine is indexed once, here, and
-    the index dies with the call."""
+    signature of ``after``).  Each machine's index is memoized in the
+    machine (:meth:`MachineIndex.of`), so along an LT chain pass k's
+    ``after`` index serves as pass k+1's ``before``."""
     obligations: List[FlowObligation] = []
     counterexample: Optional[Dict[str, object]] = None
-    old_index = MachineIndex(before)
-    new_index = MachineIndex(after)
+    old_index = MachineIndex.of(before)
+    new_index = MachineIndex.of(after)
 
     mismatched: List[str] = []
     for outputs in (True, False):
@@ -1096,7 +1151,12 @@ def machine_flow_obligations(
         old_index.observables | new_index.observables, key=_observable_key
     )
     separated: Optional[Tuple[Observable, List[str]]] = None
+    like = old_index if new_index.same_graph(old_index) else None
     for observable in observables:
+        # equal tables of these prefix-closed subset DFAs mean equal
+        # stream languages; only differing tables need the product walk
+        if new_index.table(observable, like) == old_index.table(observable):
+            continue
         word = stream_language_counterexample(old_index, new_index, observable)
         if word is not None:
             separated = (observable, word)

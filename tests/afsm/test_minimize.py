@@ -122,6 +122,15 @@ class TestMinimizeDesign:
         reduced = simulate_system(minimized, seed=NOMINAL)
         assert reduced.end_time == original.end_time
 
+    def test_machines_keep_no_flow_index(self, diffeq_design):
+        """Both designs outlive the call, so the gate's memoized flow
+        indexes must not stay on their machines."""
+        minimized, reports, __ = minimize_design(diffeq_design)
+        assert any(report.applied for report in reports)
+        for design in (diffeq_design, minimized):
+            for controller in design.controllers.values():
+                assert ("MachineIndex",) not in controller.machine.analysis_cache()
+
     def test_controllers_rewired(self, diffeq_design):
         minimized, __, __ = minimize_design(diffeq_design)
         assert set(minimized.controllers) == set(diffeq_design.controllers)

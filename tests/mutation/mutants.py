@@ -15,6 +15,11 @@ A mutant is *killed* when the tool detects it on the pinned workload;
 behavior-preserving on every workload (it must survive — a harness
 that kills everything is vacuous).  Kill score = killed / expected
 non-equivalent mutants, gated at >= 95% per tool.
+
+``expect="golden"`` marks a bug in the proof machinery's own caching:
+the designs stay correct, so neither tool can refute them, but the
+certificates drift, and the byte-exact golden proof reports
+(``tests/golden``) must catch that.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ class Mutant:
     workload: str
     #: context manager arming the mutation for the duration of a block
     arm: Callable[[], object]
-    #: "killed" (both tools must detect) or "equivalent"
-    #: (behavior-preserving negative control: both tools must pass)
+    #: "killed" (both tools must detect), "equivalent"
+    #: (behavior-preserving negative control: both tools must pass) or
+    #: "golden" (the golden proof report of the workload must drift)
     expect: str = "killed"
 
 
@@ -168,6 +174,26 @@ def lt2_moves_one_too_far() -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
+# machine: a burst rewrite that leaves the flow index stale
+# ----------------------------------------------------------------------
+@contextmanager
+def machine_burst_write_skips_bump() -> Iterator[None]:
+    """Rewriting an output burst no longer advances the machine's
+    generation, so the flow index memoized on the machine outlives the
+    edit: the next LT proof checks the old machine and certifies its
+    stale signature.  The designs are unchanged, so neither a proof nor
+    the fuzzer can refute anything; the byte-exact golden proof reports
+    catch the drifted signatures."""
+    from repro.afsm.machine import BurstModeMachine
+
+    def unbumped(self, uid, burst):
+        object.__setattr__(self.transition(uid), "output_burst", burst)
+
+    with _patched(BurstModeMachine, "set_output_burst", unbumped):
+        yield
+
+
+# ----------------------------------------------------------------------
 # negative control: an equivalent mutant
 # ----------------------------------------------------------------------
 @contextmanager
@@ -224,6 +250,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         lt2_moves_one_too_far,
     ),
     Mutant(
+        "machine-stale-index",
+        "an output-burst rewrite skips the machine's generation bump",
+        "diffeq",
+        machine_burst_write_skips_bump,
+        expect="golden",
+    ),
+    Mutant(
         "lt4-empty-latch-protection",
         "equivalent control: clears an already-empty protection set",
         "diffeq",
@@ -233,3 +266,4 @@ MUTANTS: Tuple[Mutant, ...] = (
 )
 
 KILLABLE = tuple(m for m in MUTANTS if m.expect == "killed")
+GOLDEN_KILLABLE = tuple(m for m in MUTANTS if m.expect == "golden")

@@ -5,15 +5,23 @@ detection tools — the symbolic flow-equivalence checker and the
 differential fuzzer — on the pinned workload.  The equivalent-mutant
 negative control must survive both.  The aggregate kill score is gated
 at >= 95% per tool (in practice 100%: any survivor is a regression in
-an oracle, not an accepted loss).
+an oracle, not an accepted loss).  A mutant of the proofs' own caching
+leaves every design correct, so each such mutant must be killed by the
+golden proof reports instead (one per mutant; a score gate is added
+once there is more than one).
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.verify import fuzz_workload
 from repro.verify.flow import prove_workload
 
-from tests.mutation.mutants import KILLABLE, MUTANTS
+from tests.golden.generate import GENERATORS
+from tests.mutation.mutants import GOLDEN_KILLABLE, KILLABLE, MUTANTS
+
+GOLDEN_DIR = Path(__file__).parents[1] / "golden" / "reports"
 
 FUZZ_RUNS = 3
 KILL_SCORE_FLOOR = 0.95
@@ -35,6 +43,14 @@ def fuzzer_kills(mutant) -> bool:
     return not report.conformant
 
 
+def golden_kills(mutant) -> bool:
+    """The workload's flow-proof report drifts from its golden bytes."""
+    name = f"flow_proofs_{mutant.workload}"
+    with mutant.arm():
+        text = GENERATORS[name]()
+    return text != (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
 class TestEveryMutantKilled:
     @pytest.mark.parametrize("mutant", KILLABLE, ids=lambda m: m.name)
     def test_flow_checker_kills(self, mutant):
@@ -48,6 +64,13 @@ class TestEveryMutantKilled:
         assert fuzzer_kills(mutant), (
             f"fuzzer failed to kill {mutant.name} ({mutant.description}) "
             f"on {mutant.workload}"
+        )
+
+    @pytest.mark.parametrize("mutant", GOLDEN_KILLABLE, ids=lambda m: m.name)
+    def test_golden_reports_kill(self, mutant):
+        assert golden_kills(mutant), (
+            f"the golden proof report of {mutant.workload} did not drift under "
+            f"{mutant.name} ({mutant.description})"
         )
 
 

@@ -1,5 +1,6 @@
 """Span tracing: nesting, attributes, the bound and the timing view."""
 
+import sys
 import threading
 
 import pytest
@@ -163,6 +164,31 @@ class TestThreads:
         assert current_span() is None
 
 
+    def test_totals_lose_no_update_across_threads(self):
+        """More threads than cores close spans of one name while the
+        interpreter switches threads as often as it can; the running
+        total must count every one."""
+        threads_n, per_thread = 6, 2000
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def worker():
+                for __ in range(per_thread):
+                    with span("shared"):
+                        pass
+
+            threads = [threading.Thread(target=worker) for __ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert section_timings()["shared"].calls == threads_n * per_thread
+
+
 class TestBound:
     def test_registry_keeps_the_newest_span_history(self):
         for index in range(SPAN_HISTORY + 10):
@@ -172,11 +198,28 @@ class TestBound:
         assert len(recorded) == SPAN_HISTORY
         assert recorded[0].name == "filler/10"
         assert recorded[-1].name == f"filler/{SPAN_HISTORY + 9}"
+        # the totals still count the spans the ring dropped
         timings = section_timings()
-        assert len(timings) == SPAN_HISTORY
-        assert "filler/9" not in timings
-        assert sum(stat.total for stat in timings.values()) == sum(
-            entry.duration for entry in recorded
+        assert len(timings) == SPAN_HISTORY + 10
+        assert timings["filler/9"].calls == 1
+
+    def test_totals_count_every_span_past_the_ring(self):
+        """A sweep emits more spans than the ring keeps; the timing
+        view must still count every one of them."""
+        closed = []
+        for index in range(SPAN_HISTORY + 185):
+            with span(f"layer/{index % 3}") as entry:
+                pass
+            closed.append(entry)
+        assert len(spans()) == SPAN_HISTORY
+        timings = section_timings()
+        assert sum(stat.calls for stat in timings.values()) == SPAN_HISTORY + 185
+        for layer in range(3):
+            mine = [entry.duration for entry in closed if entry.name == f"layer/{layer}"]
+            assert timings[f"layer/{layer}"].calls == len(mine)
+            assert timings[f"layer/{layer}"].total == pytest.approx(sum(mine), abs=1e-9)
+        assert sum(stat.total for stat in timings.values()) == pytest.approx(
+            sum(entry.duration for entry in closed), abs=1e-9
         )
 
 

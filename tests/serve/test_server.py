@@ -273,6 +273,7 @@ class TestBoundedObservability:
 
         registry = importlib.import_module("repro.obs.spans")
         monkeypatch.setattr(registry, "_spans", deque(maxlen=64))
+        monkeypatch.setattr(registry, "_totals", {})
         with ServerHarness(tmp_path / "s.sqlite3", _config()) as harness:
             client = harness.client()
 

@@ -83,7 +83,9 @@ def test_local_oracle_rejects_lost_output_edge(gcd_optimized):
     after = before.copy()
     victim = next(t for t in after.transitions() if t.output_burst.edges)
     dropped = victim.output_burst.edges[0]
-    victim.output_burst = victim.output_burst.without_signal(dropped.signal)
+    after.set_output_burst(
+        victim.uid, victim.output_burst.without_signal(dropped.signal)
+    )
     report = LocalReport("LT1", machine=after.name, applied=True)
     with pytest.raises(VerificationError, match=r"oracle\[LT1\]"):
         make_local_oracle()(report, before, after)
